@@ -15,6 +15,7 @@ Seed derivation, fixed forever:
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -391,12 +392,18 @@ def run_experiment(
 # --- file formats -----------------------------------------------------------
 
 def _write_text(path, text: str):
+    """Write through a sibling temp file and os.replace, so a failed write
+    leaves whatever was at path untouched and no partial file behind."""
     path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
+        with open(tmp, "w", newline="") as fh:
             fh.write(text)
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
         raise WriteError(f"{path}: {exc}") from None
 
 

@@ -1,5 +1,6 @@
 """Shared classifier contract: specs with default hyperparameters, a fit
-dispatcher with common input validation, and prediction plumbing.
+dispatcher with common input validation, prediction plumbing, and the
+sigmoid/softplus/deviance helpers that logreg, boosting and the net share.
 """
 from __future__ import annotations
 
@@ -126,3 +127,24 @@ def check_predict_input(features: np.ndarray, expected_dim: int) -> np.ndarray:
             f"expected {expected_dim} feature columns, got shape {features.shape}"
         )
     return features
+
+
+def sigmoid(t: np.ndarray) -> np.ndarray:
+    """Logistic function, split by sign so exp never overflows."""
+    out = np.empty_like(t, dtype=np.float64)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def softplus(t: np.ndarray) -> np.ndarray:
+    """log(1 + exp(t)) without overflow."""
+    return np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
+
+
+def binomial_deviance(labels: np.ndarray, logits: np.ndarray) -> float:
+    """Mean negative log-likelihood (binary cross-entropy) of 0/1 labels
+    under logit scores."""
+    return float(np.mean(softplus(logits) - labels * logits))

@@ -1,7 +1,8 @@
 """Gradient boosting for binomial deviance with depth-limited trees.
 
-Stage k fits a regression tree to the residual y - sigmoid(F) using the
-Friedman improvement criterion n_l*n_r/(n_l+n_r) * (mean_l - mean_r)^2,
+Stage k grows a regression tree (with the CART engine shared with the
+random forest) on the residual y - sigmoid(F), using the Friedman
+improvement criterion n_l*n_r/(n_l+n_r) * (mean_l - mean_r)^2,
 then replaces each leaf value with a one-step Newton update
 sum(residual) / sum(p*(1-p)) over the leaf's rows. Scores advance by
 learning_rate times the leaf value. No subsampling anywhere, so training
@@ -13,52 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import TrainMeta, check_predict_input
-from .forest import Tree, _TreeBuilder
+from .base import TrainMeta, binomial_deviance, check_predict_input, sigmoid
+from .forest import grow
 
 _MIN_IMPROVEMENT = 1e-12
 _NEWTON_FLOOR = 1e-150
 
 
-def sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t, dtype=np.float64)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-def binomial_deviance(labels: np.ndarray, scores: np.ndarray) -> float:
-    """Mean negative log-likelihood of labels under logit scores."""
-    softplus = np.log1p(np.exp(-np.abs(scores))) + np.maximum(scores, 0.0)
-    return float(np.mean(softplus - labels * scores))
-
-
-def _best_friedman_split(values: np.ndarray, residuals: np.ndarray):
-    """Best (improvement, threshold) along one feature, or None."""
-    order = np.argsort(values, kind="mergesort")
-    v = values[order]
-    r = residuals[order]
-    boundaries = np.flatnonzero(v[1:] > v[:-1])
-    if boundaries.size == 0:
-        return None
-    m = v.size
-    total = float(r.sum())
-    left_sum = np.cumsum(r)[boundaries]
-    n_left = (boundaries + 1).astype(np.float64)
-    n_right = m - n_left
-    mean_left = left_sum / n_left
-    mean_right = (total - left_sum) / n_right
-    improvement = n_left * n_right / (n_left + n_right) * (mean_left - mean_right) ** 2
-    best = int(np.argmax(improvement))
-    if improvement[best] <= _MIN_IMPROVEMENT:
-        return None
-    b = boundaries[best]
-    threshold = 0.5 * (v[b] + v[b + 1])
-    if not (v[b] <= threshold < v[b + 1]):
-        threshold = float(v[b])
-    return float(improvement[best]), float(threshold)
+def _friedman_gain(left_sum, right_sum, n_left, n_right):
+    """Friedman improvement n_l*n_r/(n_l+n_r) * (mean_l - mean_r)^2."""
+    return n_left * n_right / (n_left + n_right) * (left_sum / n_left - right_sum / n_right) ** 2
 
 
 def _newton_leaf(residuals: np.ndarray, probs: np.ndarray) -> float:
@@ -66,42 +31,6 @@ def _newton_leaf(residuals: np.ndarray, probs: np.ndarray) -> float:
     if denom < _NEWTON_FLOOR:
         return 0.0
     return float(residuals.sum()) / denom
-
-
-def _build_stage_tree(features, residuals, probs, max_depth: int):
-    """Returns (tree, leaf_assignment) where the assignment maps train rows
-    to their leaf's Newton value, saving a re-traversal per stage."""
-    builder = _TreeBuilder()
-    n = residuals.size
-    applied = np.zeros(n)
-    stack = [(np.arange(n), -1, True, 0)]
-    while stack:
-        row_idx, parent, is_left, depth = stack.pop()
-        best = None
-        if depth < max_depth and row_idx.size >= 2:
-            for f in range(features.shape[1]):
-                found = _best_friedman_split(features[row_idx, f], residuals[row_idx])
-                if found is None:
-                    continue
-                improvement, threshold = found
-                if best is None or improvement > best[0]:
-                    best = (improvement, f, threshold)
-        if best is None:
-            value = _newton_leaf(residuals[row_idx], probs[row_idx])
-            node = builder.add_leaf(value)
-            applied[row_idx] = value
-        else:
-            _, f, threshold = best
-            node = builder.add_split(f, threshold)
-            mask = features[row_idx, f] <= threshold
-            stack.append((row_idx[~mask], node, False, depth + 1))
-            stack.append((row_idx[mask], node, True, depth + 1))
-        if parent >= 0:
-            if is_left:
-                builder.left[parent] = node
-            else:
-                builder.right[parent] = node
-    return builder.finish(), applied
 
 
 @dataclass
@@ -139,15 +68,24 @@ def train_gradient_boosting(
     p = float(y.mean())
     base = float(np.log(p / (1.0 - p)))  # both classes present per fit contract
 
+    all_columns = np.arange(features.shape[1])
+
+    def columns(rows, depth):
+        return all_columns if depth < max_depth and rows.size >= 2 else None
+
     scores = np.full(y.size, base)
     trees = []
     deviance_path = [binomial_deviance(y, scores)]
     for _ in range(n_estimators):
         probs = sigmoid(scores)
         residuals = y - probs
-        tree, applied = _build_stage_tree(features, residuals, probs, max_depth)
+        tree, leaf_of_row = grow(
+            features, residuals, columns,
+            lambda rows: _newton_leaf(residuals[rows], probs[rows]),
+            _friedman_gain, _MIN_IMPROVEMENT)
         trees.append(tree)
-        scores = scores + learning_rate * applied
+        # train rows take their leaf's Newton value without re-traversing
+        scores = scores + learning_rate * tree.value[leaf_of_row]
         deviance_path.append(binomial_deviance(y, scores))
 
     meta = TrainMeta(kind="gb")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import TrainMeta, check_predict_input
+from .base import TrainMeta, binomial_deviance, check_predict_input, sigmoid
 
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -25,15 +25,6 @@ _ADAM_EPS = 1e-8
 
 def relu(t: np.ndarray) -> np.ndarray:
     return np.maximum(t, 0.0)
-
-
-def sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t, dtype=np.float64)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 def init_params(rng: np.random.Generator, dims: tuple[int, ...]) -> list:
@@ -78,8 +69,7 @@ def loss_and_grads(params: list, x: np.ndarray, y: np.ndarray,
     w_out, b_out = params[-1]
     logits = (h @ w_out + b_out)[:, 0]
 
-    softplus = np.log1p(np.exp(-np.abs(logits))) + np.maximum(logits, 0.0)
-    loss = float(np.mean(softplus - y * logits))
+    loss = binomial_deviance(y, logits)
 
     n = x.shape[0]
     delta = ((sigmoid(logits) - y) / n)[:, None]
@@ -118,9 +108,7 @@ class DnnModel:
 
 
 def _validation_loss(params: list, x: np.ndarray, y: np.ndarray) -> float:
-    logits = forward_logits(params, x)
-    softplus = np.log1p(np.exp(-np.abs(logits))) + np.maximum(logits, 0.0)
-    return float(np.mean(softplus - y * logits))
+    return binomial_deviance(y, forward_logits(params, x))
 
 
 def train_dnn(

@@ -6,6 +6,9 @@ threshold minimizing weighted Gini impurity. Trees grow until nodes are
 pure, have fewer than two rows, or no sampled feature separates the rows.
 Draw order is fixed (per tree: bootstrap, then node draws in preorder), so
 one seed fully determines the forest.
+
+The CART engine (grow, best_split) is shared with gradient boosting, which
+plugs in its own split gain, candidate columns and leaf values.
 """
 from __future__ import annotations
 
@@ -42,66 +45,89 @@ class Tree:
         return self.value[node]
 
 
-class _TreeBuilder:
-    def __init__(self):
-        self.feature, self.threshold = [], []
-        self.left, self.right, self.value = [], [], []
+def best_split(features, targets, rows, columns, gain, floor: float):
+    """Best (feature, threshold) for a node's rows over every candidate
+    column at once, or None when no boundary's gain exceeds floor.
 
-    def add_leaf(self, value: float) -> int:
-        idx = len(self.feature)
-        self.feature.append(_LEAF)
-        self.threshold.append(0.0)
-        self.left.append(_LEAF)
-        self.right.append(_LEAF)
-        self.value.append(value)
-        return idx
-
-    def add_split(self, feature: int, threshold: float) -> int:
-        idx = len(self.feature)
-        self.feature.append(feature)
-        self.threshold.append(threshold)
-        self.left.append(_LEAF)
-        self.right.append(_LEAF)
-        self.value.append(0.0)
-        return idx
-
-    def finish(self) -> Tree:
-        return Tree(
-            feature=np.asarray(self.feature, dtype=np.int64),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int64),
-            right=np.asarray(self.right, dtype=np.int64),
-            value=np.asarray(self.value, dtype=np.float64),
-        )
-
-
-def _best_gini_split(values: np.ndarray, labels: np.ndarray):
-    """Best (weighted_gini, threshold) along one feature, or None."""
-    order = np.argsort(values, kind="mergesort")
-    v = values[order]
-    y = labels[order]
-    boundaries = np.flatnonzero(v[1:] > v[:-1])
-    if boundaries.size == 0:
+    gain(left_sum, right_sum, n_left, n_right) scores each boundary of the
+    (k, m) block of sorted columns from the target sums on either side. Ties
+    resolve to the first candidate column, then to the first boundary.
+    """
+    block = features[np.ix_(rows, columns)].T
+    order = np.argsort(block, axis=1, kind="mergesort")
+    v = np.take_along_axis(block, order, axis=1)
+    t = targets[rows][order]
+    m = rows.size
+    left_sum = np.cumsum(t, axis=1)[:, :-1]
+    # row sums of the C-contiguous block stay numpy's pairwise sum per column
+    right_sum = t.sum(axis=1)[:, None] - left_sum
+    n_left = np.arange(1.0, m)
+    gains = gain(left_sum, right_sum, n_left, m - n_left)
+    gains = np.where(v[:, 1:] > v[:, :-1], gains, -np.inf)  # boundaries only
+    best = int(np.argmax(gains))
+    if not gains.flat[best] > floor:
         return None
-    m = v.size
-    total_pos = float(y.sum())
-    pos_prefix = np.cumsum(y)[boundaries].astype(np.float64)
-    n_left = (boundaries + 1).astype(np.float64)
-    n_right = m - n_left
-    pos_right = total_pos - pos_prefix
-    p_l = pos_prefix / n_left
-    p_r = pos_right / n_right
-    gini_l = 1.0 - p_l ** 2 - (1.0 - p_l) ** 2
-    gini_r = 1.0 - p_r ** 2 - (1.0 - p_r) ** 2
-    weighted = (n_left * gini_l + n_right * gini_r) / m
-    best = int(np.argmin(weighted))
-    b = boundaries[best]
-    threshold = 0.5 * (v[b] + v[b + 1])
+    col, b = divmod(best, m - 1)
+    lo, hi = v[col, b], v[col, b + 1]
+    threshold = 0.5 * (lo + hi)
     # midpoint of adjacent floats can round onto the right value; fall back
     # to the left value so the comparison still separates the two rows
-    if not (v[b] <= threshold < v[b + 1]):
-        threshold = float(v[b])
-    return float(weighted[best]), float(threshold)
+    if not lo <= threshold < hi:
+        threshold = lo
+    return int(columns[col]), float(threshold)
+
+
+def grow(features, targets, columns, leaf_value, gain, floor: float):
+    """Grow one CART tree on every row; returns (tree, leaf_of_row).
+
+    columns(rows, depth) gives a node's candidate features, or None to make
+    it a leaf worth leaf_value(rows); splits come from best_split. The
+    explicit stack (deep trees overflow recursion) pops left children first,
+    so nodes, and any rng draws inside columns, follow a recursive preorder.
+    """
+    feature, threshold, left, right, value = [], [], [], [], []
+    leaf_of_row = np.empty(targets.size, dtype=np.int64)
+    stack = [(np.arange(targets.size), -1, left, 0)]
+    while stack:
+        rows, parent, side, depth = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            side[parent] = node
+        candidates = columns(rows, depth)
+        split = None if candidates is None else best_split(
+            features, targets, rows, candidates, gain, floor)
+        left.append(_LEAF)
+        right.append(_LEAF)
+        if split is None:
+            feature.append(_LEAF)
+            threshold.append(0.0)
+            value.append(leaf_value(rows))
+            leaf_of_row[rows] = node
+        else:
+            f, cut = split
+            feature.append(f)
+            threshold.append(cut)
+            value.append(0.0)
+            mask = features[rows, f] <= cut
+            stack.append((rows[~mask], node, right, depth + 1))
+            stack.append((rows[mask], node, left, depth + 1))
+    tree = Tree(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        value=np.asarray(value, dtype=np.float64),
+    )
+    return tree, leaf_of_row
+
+
+def _neg_gini(left_pos, right_pos, n_left, n_right):
+    """Minus the size-weighted Gini impurity of the two children."""
+    p_l = left_pos / n_left
+    p_r = right_pos / n_right
+    gini_l = 1.0 - p_l ** 2 - (1.0 - p_l) ** 2
+    gini_r = 1.0 - p_r ** 2 - (1.0 - p_r) ** 2
+    return -(n_left * gini_l + n_right * gini_r) / (n_left + n_right)
 
 
 def _majority(labels: np.ndarray) -> float:
@@ -110,40 +136,6 @@ def _majority(labels: np.ndarray) -> float:
     if ones == zeros:
         return 1.0  # exact tie resolves to the positive class
     return 1.0 if ones > zeros else 0.0
-
-
-def _build_tree(features, labels, rng: np.random.Generator, n_candidates: int, builder):
-    # explicit stack (deep trees overflow recursion); popping left children
-    # first keeps rng draws in preorder, so results match a recursive build
-    stack = [(np.arange(labels.size), -1, True)]
-    while stack:
-        row_idx, parent, is_left = stack.pop()
-        y = labels[row_idx]
-        total = y.size
-        ones = int(y.sum())
-        best = None
-        if 0 < ones < total and total >= 2:
-            candidates = rng.choice(features.shape[1], size=n_candidates, replace=False)
-            for f in candidates:
-                found = _best_gini_split(features[row_idx, f], y)
-                if found is None:
-                    continue
-                weighted, threshold = found
-                if best is None or weighted < best[0]:
-                    best = (weighted, int(f), threshold)
-        if best is None:
-            node = builder.add_leaf(_majority(y))
-        else:
-            _, f, threshold = best
-            node = builder.add_split(f, threshold)
-            mask = features[row_idx, f] <= threshold
-            stack.append((row_idx[~mask], node, False))
-            stack.append((row_idx[mask], node, True))
-        if parent >= 0:
-            if is_left:
-                builder.left[parent] = node
-            else:
-                builder.right[parent] = node
 
 
 @dataclass
@@ -178,8 +170,17 @@ def train_random_forest(
     trees = []
     for _ in range(n_estimators):
         bootstrap = rng.integers(0, n, size=n)
-        builder = _TreeBuilder()
-        _build_tree(features[bootstrap], labels[bootstrap], rng, n_candidates, builder)
-        trees.append(builder.finish())
+        y = labels[bootstrap]
+
+        def columns(rows, depth):
+            # draw only for impure nodes, keeping the rng stream in preorder
+            ones = int(y[rows].sum())
+            if 0 < ones < rows.size:
+                return rng.choice(d, size=n_candidates, replace=False)
+            return None
+
+        tree, _ = grow(features[bootstrap], y, columns,
+                       lambda rows: _majority(y[rows]), _neg_gini, -np.inf)
+        trees.append(tree)
     meta = TrainMeta(kind="rf")
     return ForestModel(trees=trees, n_features=d, meta=meta)

@@ -14,24 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import TrainMeta, check_predict_input
+from .base import TrainMeta, check_predict_input, sigmoid, softplus
 
 _MEMORY = 10
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 50
-
-
-def _softplus(t: np.ndarray) -> np.ndarray:
-    return np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
-
-
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 def minimize_lbfgs(fun_grad, x0: np.ndarray, tol: float, max_iter: int):
@@ -108,7 +95,7 @@ class LogisticModel:
         return features @ self.weights + self.intercept
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.decision(features))
+        return sigmoid(self.decision(features))
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         # probability exactly 0.5 resolves to the positive class
@@ -119,9 +106,9 @@ def logreg_objective(theta: np.ndarray, features: np.ndarray, z: np.ndarray, c: 
     """(value, gradient) of the penalized negative log-likelihood."""
     w, b = theta[:-1], theta[-1]
     margins = z * (features @ w + b)
-    value = 0.5 * (w @ w) + c * float(_softplus(-margins).sum())
+    value = 0.5 * (w @ w) + c * float(softplus(-margins).sum())
     # d/dm softplus(-m) = -sigmoid(-m)
-    coeff = -z * _sigmoid(-margins)
+    coeff = -z * sigmoid(-margins)
     grad = np.empty_like(theta)
     grad[:-1] = w + c * (features.T @ coeff)
     grad[-1] = c * float(coeff.sum())

@@ -3,7 +3,9 @@
 Implemented from the classic series/continued-fraction expansions of the
 regularized incomplete gamma and beta functions, with stdlib erfc/lgamma as
 the only primitives. Absolute error on returned tail probabilities stays
-well inside 1e-10 over the ranges these tests produce.
+well inside 1e-10 over the ranges these tests produce. An expansion that
+has not converged within _MAX_ITER terms raises DomainError rather than
+returning its partial value.
 """
 from __future__ import annotations
 
@@ -22,6 +24,12 @@ def normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / _SQRT2)
 
 
+def _no_convergence(expansion: str, *args: float) -> DomainError:
+    return DomainError(
+        f"{expansion} did not converge in {_MAX_ITER} iterations at {args}"
+    )
+
+
 def _gamma_p_series(a: float, x: float) -> float:
     """Regularized lower gamma P(a, x) by power series; converges for x < a+1."""
     term = 1.0 / a
@@ -33,6 +41,8 @@ def _gamma_p_series(a: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _EPS:
             break
+    else:
+        raise _no_convergence("incomplete gamma series", a, x)
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
@@ -56,6 +66,8 @@ def _gamma_q_cf(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
+    else:
+        raise _no_convergence("incomplete gamma continued fraction", a, x)
     return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
 
 
@@ -117,6 +129,8 @@ def _betacf(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
+    else:
+        raise _no_convergence("incomplete beta continued fraction", a, b, x)
     return h
 
 

@@ -1,8 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from voicebench.data import LabeledDataset, stratified_split
-from voicebench.errors import TooFewModels, TooFewRuns, UsageError, VoicebenchError
+from voicebench.errors import TooFewModels, TooFewRuns, UsageError, VoicebenchError, WriteError
 from voicebench.harness import (
     CANONICAL_KINDS,
     DatasetSpec,
@@ -233,6 +235,24 @@ class TestCsvFormats:
         assert lines[2] == ("run_index,model,seed,accuracy,precision,recall,"
                             "f1,early_stopped,split_hash")
         assert len(lines) == 3 + len(table.records)
+
+    def test_failed_write_keeps_prior_file(self, tab_config, tab_dataset, tmp_path,
+                                           monkeypatch):
+        table = run_experiment(tab_config, dataset=tab_dataset)
+        path = tmp_path / "runs.csv"
+        write_runs_csv(table, path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        shorter = RunTable(records=table.records[:2],
+                           config_fingerprint=table.config_fingerprint)
+        with pytest.raises(WriteError, match="replace refused"):
+            write_runs_csv(shorter, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.csv"]
 
     def test_read_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "runs.csv"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,8 +13,20 @@ from voicebench.models import (
     fit,
     make_spec,
 )
-from voicebench.models.boosting import binomial_deviance, train_gradient_boosting
-from voicebench.models.forest import Tree, ForestModel, train_random_forest
+from voicebench.models.boosting import (
+    _MIN_IMPROVEMENT,
+    _friedman_gain,
+    binomial_deviance,
+    train_gradient_boosting,
+)
+from voicebench.models.forest import (
+    ForestModel,
+    Tree,
+    _neg_gini,
+    best_split,
+    grow,
+    train_random_forest,
+)
 from voicebench.models.logreg import (
     logreg_objective,
     minimize_lbfgs,
@@ -335,3 +348,153 @@ class TestBoosting:
         b = train_gradient_boosting(x, y, n_estimators=15)
         assert a.base_score == b.base_score
         assert np.array_equal(a.raw_scores(x), b.raw_scores(x))
+
+
+def _tree_digest(trees) -> str:
+    h = hashlib.sha256()
+    for tree in trees:
+        for array in (tree.feature, tree.threshold, tree.left, tree.right, tree.value):
+            h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
+
+
+class TestTreeBits:
+    """Pins every bit of grown trees, so a tree-engine change that alters
+    any split, threshold, child link or leaf value fails here. Inputs are
+    rounded to one decimal, so most columns carry heavy ties."""
+
+    @staticmethod
+    def _tied_blobs():
+        x, y = make_blobs(seed=60, n=90, d=7, sep=0.5, std=1.5)
+        return np.round(x, 1), y
+
+    def test_forest_trees_bit_identical(self):
+        x, y = self._tied_blobs()
+        model = train_random_forest(x, y, seed=5)
+        assert _tree_digest(model.trees) == (
+            "6e6588e357f26d3190378d46bf9f68ce2ddaf5e908d5e2d087ad458125895e32")
+
+    def test_boosting_trees_bit_identical(self):
+        x, y = self._tied_blobs()
+        model = train_gradient_boosting(x, y)
+        assert _tree_digest(model.trees) == (
+            "f2ca9587b220c7d39ed3dee7d4afdc7805f90d02f305d81dc225e7c7926dcc12")
+
+
+def _flat_gain(left_sum, right_sum, n_left, n_right):
+    return np.zeros(np.broadcast_shapes(left_sum.shape, n_left.shape))
+
+
+def _all_columns(features):
+    return lambda rows, depth: np.arange(features.shape[1]) if rows.size >= 2 else None
+
+
+def _mean_leaf(targets):
+    return lambda rows: float(targets[rows].mean())
+
+
+def _loop_split(features, targets, rows, columns, gain, floor):
+    """Per-column scan, one feature at a time: the reference that
+    best_split must match bit for bit."""
+    best = None
+    for f in columns:
+        order = np.argsort(features[rows, f], kind="mergesort")
+        v, t = features[rows, f][order], targets[rows][order]
+        boundaries = np.flatnonzero(v[1:] > v[:-1])
+        if boundaries.size == 0:
+            continue
+        left_sum = np.cumsum(t)[boundaries]
+        n_left = (boundaries + 1).astype(np.float64)
+        gains = gain(left_sum, t.sum() - left_sum, n_left, v.size - n_left)
+        i = int(np.argmax(gains))
+        if gains[i] > floor and (best is None or gains[i] > best[0]):
+            b = boundaries[i]
+            threshold = 0.5 * (v[b] + v[b + 1])
+            if not v[b] <= threshold < v[b + 1]:
+                threshold = v[b]
+            best = (gains[i], int(f), float(threshold))
+    return None if best is None else best[1:]
+
+
+class TestSplitSearch:
+    def test_matches_per_column_reference(self):
+        rng = np.random.default_rng(62)
+        for case in range(30):
+            n, d = int(rng.integers(2, 80)), int(rng.integers(1, 8))
+            x = np.round(rng.normal(size=(n, d)), int(rng.integers(0, 3)))
+            y = rng.integers(0, 2, n)
+            residuals = y - rng.uniform(0.2, 0.8, n)
+            rows = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+            columns = rng.permutation(d)[:int(rng.integers(1, d + 1))]
+            for targets, gain, floor in ((y, _neg_gini, -np.inf),
+                                         (residuals, _friedman_gain, _MIN_IMPROVEMENT)):
+                expected = _loop_split(x, targets, rows, columns, gain, floor)
+                assert best_split(x, targets, rows, columns, gain, floor) == expected
+
+    def test_equal_gains_take_first_candidate_column(self):
+        x = np.array([[0.0, 5.0, 0.0], [1.0, 6.0, 1.0], [2.0, 7.0, 2.0]])
+        rows = np.arange(3)
+        targets = np.array([0, 1, 0])
+        assert best_split(x, targets, rows, np.array([2, 1, 0]), _flat_gain, -np.inf) == (2, 0.5)
+        assert best_split(x, targets, rows, np.array([1, 0, 2]), _flat_gain, -np.inf) == (1, 5.5)
+
+    def test_equal_gains_take_first_boundary(self):
+        # cutting after the first or after the third row leaves the same Gini
+        x = np.array([[3.0], [0.0], [2.0], [1.0]])
+        y = np.array([0, 0, 1, 1])
+        assert best_split(x, y, np.arange(4), np.array([0]), _neg_gini, -np.inf) == (0, 0.5)
+
+    def test_identical_columns_tie_to_first_drawn(self):
+        x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        y = np.array([0, 0, 1, 1])
+        for order in ([0, 1], [1, 0]):
+            feature, threshold = best_split(x, y, np.arange(4), np.array(order), _neg_gini, -np.inf)
+            assert (feature, threshold) == (order[0], 1.5)
+
+    def test_no_boundary_means_no_split(self):
+        x = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
+        y = np.array([0, 1, 1])
+        assert best_split(x, y, np.arange(3), np.array([0, 1]), _neg_gini, -np.inf) is None
+
+    def test_adjacent_floats_split_at_left_value(self):
+        # odd last mantissa bit: the midpoint rounds up onto the right value
+        v = np.nextafter(1.0, 2.0)
+        hi = np.nextafter(v, np.inf)
+        assert 0.5 * (v + hi) == hi
+        x = np.array([[hi], [v]])
+        y = np.array([1, 0])
+        assert best_split(x, y, np.arange(2), np.array([0]), _neg_gini, -np.inf) == (0, v)
+        tree, leaf_of_row = grow(x, y, _all_columns(x), lambda rows: float(y[rows][0]),
+                                 _neg_gini, -np.inf)
+        assert tree.threshold[0] == v
+        assert np.array_equal(tree.predict_value(x), [1.0, 0.0])
+        assert leaf_of_row[0] != leaf_of_row[1]
+
+    def test_friedman_gain_at_floor_makes_a_leaf(self):
+        x = np.array([[0.0], [1.0]])
+        # splitting two rows one step apart gains step**2 / 2
+        flat = np.array([0.0, 1e-6])
+        assert _friedman_gain(0.0, 1e-6, 1.0, 1.0) <= _MIN_IMPROVEMENT
+        tree, leaf_of_row = grow(x, flat, _all_columns(x), _mean_leaf(flat),
+                                 _friedman_gain, _MIN_IMPROVEMENT)
+        assert tree.feature.tolist() == [-1]
+        assert np.array_equal(leaf_of_row, [0, 0])
+
+        def at_floor(*sums):
+            return _flat_gain(*sums) + _MIN_IMPROVEMENT
+
+        assert best_split(x, flat, np.arange(2), np.array([0]), at_floor,
+                          _MIN_IMPROVEMENT) is None
+        steep = np.array([0.0, 2e-6])
+        tree, leaf_of_row = grow(x, steep, _all_columns(x), _mean_leaf(steep),
+                                 _friedman_gain, _MIN_IMPROVEMENT)
+        assert tree.feature.tolist() == [0, -1, -1]
+        assert np.array_equal(tree.value[leaf_of_row], steep)
+
+    def test_leaf_of_row_matches_prediction(self):
+        x, y = make_blobs(seed=61, n=60, d=4, sep=0.4, std=1.5)
+        residuals = y - y.mean()
+        tree, leaf_of_row = grow(x, residuals, _all_columns(x), _mean_leaf(residuals),
+                                 _friedman_gain, _MIN_IMPROVEMENT)
+        assert np.array_equal(tree.value[leaf_of_row], tree.predict_value(x))
+        assert np.all(tree.feature[leaf_of_row] == -1)

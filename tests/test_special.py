@@ -5,6 +5,7 @@ import pytest
 import scipy.stats
 import scipy.special
 
+from voicebench import special
 from voicebench.special import betainc, chi2_sf, f_sf, gammainc_upper, normal_sf
 from voicebench.errors import DomainError
 
@@ -108,3 +109,28 @@ class TestFSf:
             f_sf(-1.0, 2, 5)
         with pytest.raises(DomainError):
             f_sf(1.0, 0, 5)
+
+
+class TestConvergence:
+    def test_beta_fraction_exhaustion_raises(self):
+        # the partial fraction after the iteration cap reads 0.49995615, not 0.5
+        with pytest.raises(DomainError, match="did not converge"):
+            betainc(1e7, 1e7, 0.5)
+
+    def test_gamma_fraction_exhaustion_raises(self):
+        with pytest.raises(DomainError, match="did not converge"):
+            gammainc_upper(1e7, 1e7 + 1e3)
+
+    def test_gamma_series_exhaustion_raises(self):
+        # the partial series after the cap gives 0.9416; the value is 0.6240
+        with pytest.raises(DomainError, match="did not converge"):
+            gammainc_upper(1e7, 1e7 - 1e3)
+
+    def test_five_model_shapes_converge_well_inside_the_cap(self, monkeypatch):
+        # five models give chi-square df 4 (Kruskal-Wallis) and F df (4, 5r-5)
+        # (Levene) for r = 20 and 1000 runs; 24 iterations cover them all
+        monkeypatch.setattr(special, "_MAX_ITER", 24)
+        for x in [float(v) for v in range(51)] + [100.0, 1000.0]:
+            chi2_sf(x, 4)
+            f_sf(x, 4, 95)
+            f_sf(x, 4, 4995)
