@@ -22,6 +22,7 @@ from .harness import (
     StatReport,
     analyze,
     emit_outputs,
+    emit_report,
     run_experiment,
 )
 from .metrics import ConfusionMatrix, MetricSet, confusion, metric_set, score

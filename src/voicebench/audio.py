@@ -7,6 +7,7 @@ they can run in any number of worker processes.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -134,7 +135,7 @@ def _sinc_kernel(u: np.ndarray, cutoff: float, half_width: float) -> np.ndarray:
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
-    """Resample with a Kaiser-windowed sinc interpolator.
+    """Resample with a polyphase Kaiser-windowed sinc interpolator.
 
     Output length is round(n * target / source) (half-up). When
     downsampling, the kernel cutoff shrinks to the output Nyquist so the
@@ -147,28 +148,26 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
         return AudioClip(clip.samples.copy(), clip.sample_rate)
 
     source_rate = clip.sample_rate
-    n_in = clip.samples.size
-    n_out = (2 * n_in * target_rate + source_rate) // (2 * source_rate)
+    n_out = (2 * clip.samples.size * target_rate + source_rate) // (2 * source_rate)
     n_out = max(int(n_out), 1)
 
-    ratio = target_rate / source_rate
-    cutoff = min(1.0, ratio)
+    cutoff = min(1.0, target_rate / source_rate)
     half_width = _ZERO_CROSSINGS / cutoff
-    n_taps = int(2 * half_width) + 2
+    # output j sits at input position j*down/up = base + phase/up exactly, so
+    # the taps repeat with period up and each phase needs one kernel row
+    g = math.gcd(source_rate, target_rate)
+    up, down = target_rate // g, source_rate // g
+    pad = int(half_width)
+    offsets = np.arange(-pad, pad + 2, dtype=np.float64)
+    padded = np.concatenate([np.zeros(pad), clip.samples, np.zeros(pad + 2)])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, offsets.size)
 
-    x = clip.samples
     out = np.empty(n_out, dtype=np.float64)
-    tap_offsets = np.arange(n_taps, dtype=np.float64)
     for start in range(0, n_out, _CHUNK):
-        stop = min(start + _CHUNK, n_out)
-        # exact integer product before the divide keeps positions reproducible
-        t = (np.arange(start, stop, dtype=np.float64) * source_rate) / target_rate
-        first = np.ceil(t - half_width)
-        idx = first[:, None] + tap_offsets[None, :]
-        weights = _sinc_kernel(idx - t[:, None], cutoff, half_width)
-        valid = (idx >= 0) & (idx < n_in)
-        gathered = np.where(valid, x[np.clip(idx.astype(np.int64), 0, n_in - 1)], 0.0)
-        out[start:stop] = np.einsum("ij,ij->i", weights, gathered)
+        base, phase = np.divmod(np.arange(start, min(start + _CHUNK, n_out)) * down, up)
+        phases, row = np.unique(phase, return_inverse=True)
+        weights = _sinc_kernel(offsets - phases[:, None] / up, cutoff, half_width)
+        out[start:start + base.size] = np.einsum("ij,ij->i", weights[row], windows[base])
 
     return AudioClip(out, target_rate)
 

@@ -3,7 +3,8 @@
 Subcommands:
     extract   WAV tree + manifest -> features CSV
     run       repeated train/evaluate runs -> runs.csv (+ timings.csv)
-    analyze   runs.csv -> report.json + boxplot_accuracy.csv
+    analyze   runs.csv -> report.json + boxplot_accuracy.csv (runs.csv and
+              timings.csv in --out are left alone)
     all       run + analyze in one go
 
 Exit codes: 0 success, 1 usage problems, 2 data or I/O problems.
@@ -21,6 +22,7 @@ from .harness import (
     ExperimentConfig,
     analyze,
     emit_outputs,
+    emit_report,
     load_manifest,
     read_runs_csv,
     run_experiment,
@@ -173,7 +175,7 @@ def _print_report_summary(report) -> None:
 def _cmd_analyze(args) -> int:
     table = read_runs_csv(args.runs_csv)
     report = analyze(table, args.alpha)
-    paths = emit_outputs(table, report, args.output_dir)
+    paths = emit_report(table, report, args.output_dir)
     for name, path in sorted(paths.items()):
         print(f"  {name}: {path}")
     _print_report_summary(report)

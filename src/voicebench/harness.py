@@ -20,6 +20,7 @@ import csv
 import hashlib
 import io
 import multiprocessing
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -144,12 +145,24 @@ class ExperimentConfig:
     output_dir: str = ""
 
     def __post_init__(self):
+        for key, kind, wanted, noun in (
+            ("runs", int, numbers.Integral, "an integer"),
+            ("base_seed", int, numbers.Integral, "an integer"),
+            ("workers", int, numbers.Integral, "an integer"),
+            ("alpha", float, numbers.Real, "a number"),
+        ):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, wanted):
+                raise UsageError(f"config key {key!r} must be {noun}, got {value!r}")
+            object.__setattr__(self, key, kind(value))
         if self.runs < 1:
             raise UsageError(f"runs must be >= 1, got {self.runs}")
         if self.workers < 1:
             raise UsageError(f"workers must be >= 1, got {self.workers}")
         if not (0.0 < self.alpha < 1.0):
             raise UsageError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if isinstance(self.models, str) or not isinstance(self.models, (list, tuple)):
+            raise UsageError(f"config key 'models' must be a list, got {self.models!r}")
         if not self.models:
             raise UsageError("need at least one model")
         seen = set()
@@ -162,8 +175,13 @@ class ExperimentConfig:
             if kind in seen:
                 raise UsageError(f"model kind {kind!r} listed twice")
             seen.add(kind)
+        if not isinstance(self.model_params, dict):
+            raise UsageError("config key 'model_params' must be an object")
         for kind, overrides in self.model_params.items():
-            make_spec(kind, overrides)  # validates names eagerly
+            make_spec(kind, overrides)  # validates names and values eagerly
+        object.__setattr__(
+            self, "model_params", {k: dict(v) for k, v in self.model_params.items()}
+        )
         object.__setattr__(self, "models", tuple(self.models))
         if not self.output_dir:
             object.__setattr__(
@@ -197,16 +215,16 @@ class ExperimentConfig:
         for key in merged:
             if key not in known:
                 raise UsageError(f"unknown config key {key!r}")
+        if not isinstance(merged["dataset"], dict):
+            raise UsageError("config key 'dataset' must be an object")
         return ExperimentConfig(
             dataset=DatasetSpec.from_dict(merged["dataset"]),
-            models=tuple(merged.get("models", CANONICAL_KINDS)),
-            model_params={
-                str(k): dict(v) for k, v in merged.get("model_params", {}).items()
-            },
-            runs=int(merged.get("runs", 1000)),
-            base_seed=int(merged.get("base_seed", 0)),
-            workers=int(merged.get("workers", 1)),
-            alpha=float(merged.get("alpha", 0.05)),
+            models=merged.get("models", CANONICAL_KINDS),
+            model_params=merged.get("model_params", {}),
+            runs=merged.get("runs", 1000),
+            base_seed=merged.get("base_seed", 0),
+            workers=merged.get("workers", 1),
+            alpha=merged.get("alpha", 0.05),
             output_dir=str(merged.get("output_dir", "")),
         )
 
@@ -434,14 +452,15 @@ def write_runs_csv(table: RunTable, path) -> None:
 
 def read_runs_csv(path) -> RunTable:
     fingerprint = ""
-    rows = []
+    linenos, rows = [], []
     with open(path, newline="") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if line.startswith("#"):
                 if line.startswith("# config_fingerprint="):
                     fingerprint = line.split("=", 1)[1]
                 continue
+            linenos.append(lineno)
             rows.append(line)
     if not rows:
         raise VoicebenchError(f"{path}: no header row")
@@ -449,20 +468,26 @@ def read_runs_csv(path) -> RunTable:
     if tuple(header) != RUNS_CSV_COLUMNS:
         raise VoicebenchError(f"{path}: unexpected columns {header}")
     records = []
-    for row in csv.reader(rows[1:]):
+    for lineno, row in zip(linenos[1:], csv.reader(rows[1:])):
         if not row:
             continue
-        records.append(RunRecord(
-            run_index=int(row[0]),
-            model=row[1],
-            seed=int(row[2]),
-            accuracy=float(row[3]),
-            precision=float(row[4]),
-            recall=float(row[5]),
-            f1=float(row[6]),
-            early_stopped=None if row[7] == "" else row[7] == "true",
-            split_hash=row[8],
-        ))
+        if len(row) != len(RUNS_CSV_COLUMNS):
+            raise VoicebenchError(f"{path} line {lineno}: expected "
+                                  f"{len(RUNS_CSV_COLUMNS)} fields, got {len(row)}")
+        try:
+            records.append(RunRecord(
+                run_index=int(row[0]),
+                model=row[1],
+                seed=int(row[2]),
+                accuracy=float(row[3]),
+                precision=float(row[4]),
+                recall=float(row[5]),
+                f1=float(row[6]),
+                early_stopped=None if row[7] == "" else row[7] == "true",
+                split_hash=row[8],
+            ))
+        except ValueError as exc:
+            raise VoicebenchError(f"{path} line {lineno}: {exc}") from None
     return RunTable(records=tuple(records), config_fingerprint=fingerprint)
 
 
@@ -608,20 +633,24 @@ def analyze(table: RunTable, alpha: float = 0.05) -> StatReport:
     )
 
 
-def emit_outputs(table: RunTable, report: StatReport | None, out_dir) -> dict:
-    """Write runs.csv, timings.csv, and (when a report is given)
-    report.json plus boxplot_accuracy.csv. Returns {name: path}."""
+def emit_report(table: RunTable, report: StatReport, out_dir) -> dict:
+    """Write report.json and boxplot_accuracy.csv. Returns {name: path}."""
     out_dir = Path(out_dir)
-    paths = {}
+    _write_text(out_dir / "report.json", canonical_dumps(report.to_dict()))
+    _write_text(out_dir / "boxplot_accuracy.csv", boxplot_csv_text(table))
+    return {"report": str(out_dir / "report.json"),
+            "boxplot": str(out_dir / "boxplot_accuracy.csv")}
+
+
+def emit_outputs(table: RunTable, report: StatReport | None, out_dir) -> dict:
+    """Write runs.csv, timings.csv, and (when a report is given) the
+    emit_report files. Returns {name: path}."""
+    out_dir = Path(out_dir)
     write_runs_csv(table, out_dir / "runs.csv")
-    paths["runs"] = str(out_dir / "runs.csv")
     _write_text(out_dir / "timings.csv", timings_csv_text(table))
-    paths["timings"] = str(out_dir / "timings.csv")
+    paths = {"runs": str(out_dir / "runs.csv"), "timings": str(out_dir / "timings.csv")}
     if report is not None:
-        _write_text(out_dir / "report.json", canonical_dumps(report.to_dict()))
-        paths["report"] = str(out_dir / "report.json")
-        _write_text(out_dir / "boxplot_accuracy.csv", boxplot_csv_text(table))
-        paths["boxplot"] = str(out_dir / "boxplot_accuracy.csv")
+        paths.update(emit_report(table, report, out_dir))
     return paths
 
 

@@ -4,6 +4,7 @@ sigmoid/softplus/deviance helpers that logreg, boosting and the net share.
 """
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -47,11 +48,20 @@ def default_params(kind: str) -> dict:
 
 def make_spec(kind: str, overrides: dict | None = None) -> ClassifierSpec:
     params = default_params(kind)
-    for key, value in (overrides or {}).items():
+    overrides = {} if overrides is None else overrides
+    if not isinstance(overrides, dict):
+        raise UsageError(f"model {kind!r} parameters must be an object, got {overrides!r}")
+    for key, value in overrides.items():
         if key not in params:
             raise UsageError(f"model {kind!r} has no parameter {key!r}")
         if isinstance(params[key], tuple):
+            if not isinstance(value, (list, tuple)):
+                raise UsageError(f"model {kind!r} parameter {key!r} must be a list")
             value = tuple(value)
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise UsageError(
+                f"model {kind!r} parameter {key!r} must be a number, got {value!r}"
+            )
         params[key] = value
     return ClassifierSpec(kind, params)
 

@@ -7,6 +7,7 @@ from scipy.special import i0 as bessel_i0
 
 from conftest import wav_bytes, write_pcm16_wav
 from voicebench.audio import (
+    _CHUNK,
     AudioClip,
     decode_wav,
     fix_duration,
@@ -204,23 +205,29 @@ class TestResample:
         interior = slice(300, out.samples.size - 300)
         assert np.max(np.abs(out.samples[interior] - expected[interior])) < 1e-3
 
-    def test_matches_direct_summation(self):
-        rng = np.random.default_rng(31)
-        x = rng.normal(size=3000)
-        clip = AudioClip(x, 44100)
-        out = resample(clip, 16000)
-        for j in (0, 17, 250, 600, out.samples.size - 1):
-            ref = _reference_resample_point(x, 44100, 16000, j)
-            assert abs(out.samples[j] - ref) < 1e-10
+    @pytest.mark.parametrize(
+        "src,dst,n",
+        [(8000, 16000, 900), (11025, 16000, 400), (22050, 16000, 400),
+         (44100, 16000, 3000), (48000, 16000, 400), (44101, 16000, 400),
+         (16000, 22050, 400), (44100, 16000, 1), (8000, 16000, 1)],
+    )
+    def test_matches_direct_summation(self, src, dst, n):
+        # short clips, so many outputs lie within a kernel width of an edge
+        x = np.random.default_rng(src + dst + n).normal(size=n)
+        out = resample(AudioClip(x, src), dst)
+        assert out.samples.size == max((2 * n * dst + src) // (2 * src), 1)
+        for j in range(out.samples.size):
+            ref = _reference_resample_point(x, src, dst, j)
+            assert abs(out.samples[j] - ref) < 1e-10, j
 
-    def test_matches_direct_summation_upsample(self):
-        rng = np.random.default_rng(32)
-        x = rng.normal(size=900)
-        clip = AudioClip(x, 8000)
-        out = resample(clip, 16000)
-        for j in (0, 33, 901, out.samples.size - 1):
-            ref = _reference_resample_point(x, 8000, 16000, j)
-            assert abs(out.samples[j] - ref) < 1e-10
+    @pytest.mark.parametrize("src,n", [(8000, 4200), (44101, 23000)])
+    def test_matches_direct_summation_across_chunks(self, src, n):
+        x = np.random.default_rng(src).normal(size=n)
+        out = resample(AudioClip(x, src), 16000)
+        assert out.samples.size > _CHUNK
+        for j in (0, _CHUNK - 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, out.samples.size - 1):
+            ref = _reference_resample_point(x, src, 16000, j)
+            assert abs(out.samples[j] - ref) < 1e-10, j
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):

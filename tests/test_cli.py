@@ -145,6 +145,38 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "at least 2 models" in capsys.readouterr().err
 
+    def test_keeps_run_outputs_in_same_dir(self, tabular_csv, tmp_path):
+        out = tmp_path / "out"
+        assert cli_main(["run", *_tab_args(tabular_csv, out)]) == 0
+        before = {name: (out / name).read_bytes() for name in ("runs.csv", "timings.csv")}
+        assert len(before["timings.csv"].splitlines()) == 2 + 8
+        assert cli_main([
+            "analyze", "--runs-csv", str(out / "runs.csv"), "--out", str(out)
+        ]) == 0
+        for name, data in before.items():
+            assert (out / name).read_bytes() == data, name
+        assert (out / "report.json").exists()
+        assert (out / "boxplot_accuracy.csv").exists()
+
+    @pytest.mark.parametrize(
+        "row,detail",
+        [("0,logreg,11,0.5", "expected 9 fields, got 4"),
+         ("0,logreg,11,high,0.5,0.5,0.5,,abc", "could not convert")],
+    )
+    def test_bad_row_is_data_error(self, tabular_csv, tmp_path, capsys, row, detail):
+        out = tmp_path / "out"
+        assert cli_main(["run", *_tab_args(tabular_csv, out)]) == 0
+        runs = out / "runs.csv"
+        lines = runs.read_text().splitlines()
+        lines[4] = row  # two comment lines, the header, then the data
+        runs.write_text("\n".join(lines) + "\n")
+        code = cli_main(["analyze", "--runs-csv", str(runs), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{runs} line 5" in err
+        assert detail in err
+
     def test_missing_runs_csv(self, tmp_path):
         code = cli_main([
             "analyze", "--runs-csv", str(tmp_path / "none.csv"),
@@ -182,6 +214,34 @@ class TestAllCommand:
         ]) == 0
         table = read_runs_csv(out / "runs.csv")
         assert len(table.run_indices()) == 4  # override beat the file value
+
+    @pytest.mark.parametrize(
+        "key,value,named",
+        [("runs", "many", "'runs'"), ("base_seed", "x", "'base_seed'"),
+         ("workers", 1.5, "'workers'"), ("alpha", "low", "'alpha'"),
+         ("runs", True, "'runs'"), ("models", "svm", "'models'"),
+         ("models", 5, "'models'"), ("model_params", [], "'model_params'"),
+         ("model_params", {"svm": 5}, "'svm'"),
+         ("model_params", {"svm": {"c": "big"}}, "'c'")],
+    )
+    def test_bad_config_value_is_usage_error(self, tabular_csv, tmp_path, capsys,
+                                             key, value, named):
+        config = {
+            "dataset": {"kind": "tabular", "csv": str(tabular_csv),
+                        "label_column": "status", "drop_columns": ["name"]},
+            "models": ["logreg", "svm"],
+            "runs": 3,
+            key: value,
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        code = cli_main(["all", "--config", str(config_path), "--quiet",
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert named in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestExtract:

@@ -47,6 +47,15 @@ class TestSpecs:
         with pytest.raises(UsageError):
             make_spec("rf", {"depth": 3})
 
+    @pytest.mark.parametrize(
+        "kind,overrides",
+        [("svm", {"c": "big"}), ("svm", {"c": True}), ("gb", {"max_depth": "3"}),
+         ("dnn", {"hidden": 64}), ("rf", 5)],
+    )
+    def test_bad_value_rejected(self, kind, overrides):
+        with pytest.raises(UsageError):
+            make_spec(kind, overrides)
+
     def test_override(self):
         spec = make_spec("gb", {"n_estimators": 7})
         assert spec.params["n_estimators"] == 7
