@@ -120,12 +120,10 @@ def _build_config(args) -> ExperimentConfig:
 def _cmd_extract(args) -> int:
     params = MfccParams()
     dataset = load_audio_dataset(args.audio_dir, load_manifest(args.manifest), params)
-    lines = [f"# format_version={harness.FORMAT_VERSION}"]
-    lines.append("path,label," + ",".join(f"mfcc_{i}" for i in range(params.n_mfcc)))
-    for rid, label, row in zip(dataset.row_ids, dataset.labels, dataset.features):
-        cells = ",".join(format_float(v) for v in row)
-        lines.append(f"{rid},{label},{cells}")
-    harness._write_text(args.out, "\n".join(lines) + "\n")
+    header = ("path", "label", *(f"mfcc_{i}" for i in range(params.n_mfcc)))
+    rows = ((rid, label, *map(format_float, row))
+            for rid, label, row in zip(dataset.row_ids, dataset.labels, dataset.features))
+    harness._write_text(args.out, harness._csv_text(header, rows))
     print(f"wrote {len(dataset.labels)} rows to {args.out}")
     return 0
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
-import io
 import multiprocessing
 import numbers
 import os
@@ -51,12 +51,6 @@ STREAM_OVERSAMPLE_TRAIN = 1
 STREAM_OVERSAMPLE_VAL = 2
 STREAM_MODEL_BASE = 3
 
-RUNS_CSV_COLUMNS = (
-    "run_index", "model", "seed",
-    "accuracy", "precision", "recall", "f1",
-    "early_stopped", "split_hash",
-)
-
 DEFAULT_OUTPUT_ENV = "VOICEBENCH_OUT"
 
 
@@ -87,6 +81,15 @@ class DatasetSpec:
     drop_columns: tuple = ()
 
     def __post_init__(self):
+        for key in ("kind", "root", "manifest", "csv", "label_column"):
+            value = getattr(self, key)
+            if value is not None and not isinstance(value, str):
+                raise UsageError(f"dataset key {key!r} must be a string, got {value!r}")
+        columns = self.drop_columns
+        if not isinstance(columns, (list, tuple)) or not all(isinstance(c, str) for c in columns):
+            raise UsageError(f"dataset key 'drop_columns' must be a list of strings, "
+                             f"got {columns!r}")
+        object.__setattr__(self, "drop_columns", tuple(columns))
         if self.kind == "audio":
             if not self.root or not self.manifest:
                 raise UsageError("audio dataset needs 'root' and 'manifest'")
@@ -114,7 +117,7 @@ class DatasetSpec:
             manifest=raw.get("manifest"),
             csv=raw.get("csv"),
             label_column=raw.get("label_column"),
-            drop_columns=tuple(raw.get("drop_columns", ())),
+            drop_columns=raw.get("drop_columns", ()),
         )
 
 
@@ -150,6 +153,7 @@ class ExperimentConfig:
             ("base_seed", int, numbers.Integral, "an integer"),
             ("workers", int, numbers.Integral, "an integer"),
             ("alpha", float, numbers.Real, "a number"),
+            ("output_dir", str, str, "a string"),
         ):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, wanted):
@@ -225,7 +229,7 @@ class ExperimentConfig:
             base_seed=merged.get("base_seed", 0),
             workers=merged.get("workers", 1),
             alpha=merged.get("alpha", 0.05),
-            output_dir=str(merged.get("output_dir", "")),
+            output_dir=merged.get("output_dir", ""),
         )
 
     @staticmethod
@@ -240,7 +244,7 @@ class ExperimentConfig:
 def load_dataset(spec: DatasetSpec, params: MfccParams | None = None) -> LabeledDataset:
     if spec.kind == "audio":
         return load_audio_dataset(spec.root, load_manifest(spec.manifest), params)
-    return load_tabular_dataset(spec.csv, spec.label_column, tuple(spec.drop_columns))
+    return load_tabular_dataset(spec.csv, spec.label_column, spec.drop_columns)
 
 
 # --- run records ------------------------------------------------------------
@@ -265,28 +269,25 @@ class RunTable:
     config_fingerprint: str
 
     def model_order(self) -> list[str]:
-        seen = []
-        for record in self.records:
-            if record.model not in seen:
-                seen.append(record.model)
-        return seen
+        return list(dict.fromkeys(record.model for record in self.records))
 
     def run_indices(self) -> list[int]:
         return sorted({record.run_index for record in self.records})
 
-    def accuracies(self, model: str) -> np.ndarray:
-        rows = [r for r in self.records if r.model == model]
-        rows.sort(key=lambda r: r.run_index)
-        return np.array([r.accuracy for r in rows])
+    def series(self, model: str, name: str) -> np.ndarray:
+        """One RunRecord field of one model, in run order."""
+        rows = sorted((r for r in self.records if r.model == model), key=lambda r: r.run_index)
+        return np.array([getattr(r, name) for r in rows])
+
+
+def _partitions(split):
+    return (("train", split.train_idx), ("validation", split.validation_idx),
+            ("test", split.test_idx))
 
 
 def _split_hash(split) -> str:
     digest = hashlib.sha256()
-    for name, idx in (
-        ("train", split.train_idx),
-        ("validation", split.validation_idx),
-        ("test", split.test_idx),
-    ):
+    for name, idx in _partitions(split):
         digest.update(name.encode())
         digest.update(np.ascontiguousarray(idx, dtype=np.int64).tobytes())
     return digest.hexdigest()[:16]
@@ -359,7 +360,7 @@ def run_experiment(
         dataset = load_dataset(config.dataset)
     fingerprint = config.fingerprint()
 
-    have = {}
+    have = {}  # (run_index, kind) -> RunRecord
     if existing is not None:
         if existing.config_fingerprint and existing.config_fingerprint != fingerprint:
             raise UsageError(
@@ -368,43 +369,26 @@ def run_experiment(
             )
         have = {(r.run_index, r.model): r for r in existing.records}
 
-    tasks = [
-        (run_index, kind)
-        for run_index in range(config.runs)
-        for kind in config.models
-        if (run_index, kind) not in have
-    ]
-
-    computed = {}
-    if tasks:
-        workers = min(config.workers, len(tasks))
+    keys = [(run_index, kind) for run_index in range(config.runs) for kind in config.models]
+    tasks = [key for key in keys if key not in have]
+    workers = min(config.workers, len(tasks))
+    with contextlib.ExitStack() as stack:
         if workers > 1:
-            ctx = multiprocessing.get_context()
-            with ctx.Pool(
+            pool = stack.enter_context(multiprocessing.get_context().Pool(
                 processes=workers,
                 initializer=_worker_init,
                 initargs=(dataset.features, dataset.labels, dataset.source_name,
                           config.model_params, config.base_seed),
-            ) as pool:
-                for i, record in enumerate(pool.imap(_worker_task, tasks, chunksize=1)):
-                    computed[(record.run_index, record.model)] = record
-                    if progress:
-                        progress(i + 1, len(tasks))
+            ))
+            results = pool.imap(_worker_task, tasks, chunksize=1)
         else:
-            for i, task in enumerate(tasks):
-                record = execute_task(
-                    dataset, config.model_params, task[0], config.base_seed, task[1]
-                )
-                computed[(record.run_index, record.model)] = record
-                if progress:
-                    progress(i + 1, len(tasks))
-
-    ordered = []
-    for run_index in range(config.runs):
-        for kind in config.models:
-            key = (run_index, kind)
-            ordered.append(have[key] if key in have else computed[key])
-    return RunTable(records=tuple(ordered), config_fingerprint=fingerprint)
+            results = (execute_task(dataset, config.model_params, run_index,
+                                    config.base_seed, kind) for run_index, kind in tasks)
+        for done, record in enumerate(results, 1):
+            have[(record.run_index, record.model)] = record
+            if progress:
+                progress(done, len(tasks))
+    return RunTable(records=tuple(have[key] for key in keys), config_fingerprint=fingerprint)
 
 
 # --- file formats -----------------------------------------------------------
@@ -425,25 +409,46 @@ def _write_text(path, text: str):
         raise WriteError(f"{path}: {exc}") from None
 
 
-def _bool_cell(value: bool | None) -> str:
-    if value is None:
-        return ""
-    return "true" if value else "false"
+def _csv_text(header, rows, fingerprint: str | None = None) -> str:
+    """A versioned CSV: comment lines, the header, one line per row of cells."""
+    lines = [f"# format_version={FORMAT_VERSION}"]
+    if fingerprint is not None:
+        lines.append(f"# config_fingerprint={fingerprint}")
+    lines.append(",".join(header))
+    lines.extend(",".join(map(str, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+_FLAG_CELLS = {"": None, "true": True, "false": False}
+
+
+def _parse_flag(cell: str) -> bool | None:
+    if cell not in _FLAG_CELLS:
+        raise ValueError(f"early_stopped must be empty, 'true' or 'false', got {cell!r}")
+    return _FLAG_CELLS[cell]
+
+
+# runs.csv layout, in column order: (RunRecord field, cell parser, cell renderer)
+_RUN_CELLS = (
+    ("run_index", int, str),
+    ("model", str, str),
+    ("seed", int, str),
+    ("accuracy", float, format_float),
+    ("precision", float, format_float),
+    ("recall", float, format_float),
+    ("f1", float, format_float),
+    ("early_stopped", _parse_flag, {v: k for k, v in _FLAG_CELLS.items()}.__getitem__),
+    ("split_hash", str, str),
+)
+RUNS_CSV_COLUMNS = tuple(name for name, _, _ in _RUN_CELLS)
+
+
+def _run_row(record: RunRecord) -> list[str]:
+    return [render(getattr(record, name)) for name, _, render in _RUN_CELLS]
 
 
 def runs_csv_text(table: RunTable) -> str:
-    out = io.StringIO()
-    out.write(f"# format_version={FORMAT_VERSION}\n")
-    out.write(f"# config_fingerprint={table.config_fingerprint}\n")
-    out.write(",".join(RUNS_CSV_COLUMNS) + "\n")
-    for r in table.records:
-        out.write(
-            f"{r.run_index},{r.model},{r.seed},"
-            f"{format_float(r.accuracy)},{format_float(r.precision)},"
-            f"{format_float(r.recall)},{format_float(r.f1)},"
-            f"{_bool_cell(r.early_stopped)},{r.split_hash}\n"
-        )
-    return out.getvalue()
+    return _csv_text(RUNS_CSV_COLUMNS, map(_run_row, table.records), table.config_fingerprint)
 
 
 def write_runs_csv(table: RunTable, path) -> None:
@@ -475,42 +480,27 @@ def read_runs_csv(path) -> RunTable:
             raise VoicebenchError(f"{path} line {lineno}: expected "
                                   f"{len(RUNS_CSV_COLUMNS)} fields, got {len(row)}")
         try:
-            records.append(RunRecord(
-                run_index=int(row[0]),
-                model=row[1],
-                seed=int(row[2]),
-                accuracy=float(row[3]),
-                precision=float(row[4]),
-                recall=float(row[5]),
-                f1=float(row[6]),
-                early_stopped=None if row[7] == "" else row[7] == "true",
-                split_hash=row[8],
-            ))
+            records.append(RunRecord(**{
+                name: parse(cell) for (name, parse, _), cell in zip(_RUN_CELLS, row)
+            }))
         except ValueError as exc:
             raise VoicebenchError(f"{path} line {lineno}: {exc}") from None
     return RunTable(records=tuple(records), config_fingerprint=fingerprint)
 
 
 def timings_csv_text(table: RunTable) -> str:
-    out = io.StringIO()
-    out.write(f"# format_version={FORMAT_VERSION}\n")
-    out.write("run_index,model,train_ms\n")
-    for r in table.records:
-        if r.train_ms is None:
-            continue  # rows reloaded from disk have no fresh timing
-        out.write(f"{r.run_index},{r.model},{format_float(r.train_ms)}\n")
-    return out.getvalue()
+    # rows reloaded from disk have no fresh timing
+    return _csv_text(("run_index", "model", "train_ms"), (
+        (r.run_index, r.model, format_float(r.train_ms))
+        for r in table.records if r.train_ms is not None
+    ))
 
 
 def boxplot_csv_text(table: RunTable) -> str:
-    out = io.StringIO()
-    out.write(f"# format_version={FORMAT_VERSION}\n")
-    out.write("model,run_index,accuracy\n")
-    for model in table.model_order():
-        for r in table.records:
-            if r.model == model:
-                out.write(f"{model},{r.run_index},{format_float(r.accuracy)}\n")
-    return out.getvalue()
+    return _csv_text(("model", "run_index", "accuracy"), (
+        (model, r.run_index, format_float(r.accuracy))
+        for model in table.model_order() for r in table.records if r.model == model
+    ))
 
 
 # --- analysis ---------------------------------------------------------------
@@ -532,19 +522,7 @@ class StatReport:
     config_fingerprint: str
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "alpha": self.alpha,
-            "n_runs": self.n_runs,
-            "models": list(self.models),
-            "descriptives": self.descriptives,
-            "normality": self.normality,
-            "variance_homogeneity": self.variance_homogeneity,
-            "omnibus": self.omnibus,
-            "pairwise": self.pairwise,
-            "letters": self.letters,
-            "config_fingerprint": self.config_fingerprint,
-        }
+        return {"format_version": FORMAT_VERSION, **dataclasses.asdict(self)}
 
 
 def _test_result_dict(result: stats.TestResult) -> dict:
@@ -573,7 +551,7 @@ def analyze(table: RunTable, alpha: float = 0.05) -> StatReport:
     if n_runs < 3:
         raise TooFewRuns(f"need at least 3 runs for the tests, got {n_runs}")
 
-    groups = [table.accuracies(model) for model in models]
+    groups = [table.series(model, "accuracy") for model in models]
     for model, acc in zip(models, groups):
         if acc.size != n_runs:
             raise TooFewRuns(
@@ -582,13 +560,9 @@ def analyze(table: RunTable, alpha: float = 0.05) -> StatReport:
 
     descriptives = {}
     for model in models:
-        rows = sorted(
-            (r for r in table.records if r.model == model),
-            key=lambda r: r.run_index,
-        )
         descriptives[model] = {}
         for name in _METRIC_NAMES:
-            series = np.array([getattr(r, name) for r in rows])
+            series = table.series(model, name)
             descriptives[model][name] = {
                 "mean": float(series.mean()),
                 "std": float(series.std(ddof=1)),
@@ -656,20 +630,14 @@ def emit_outputs(table: RunTable, report: StatReport | None, out_dir) -> dict:
 
 def dump_splits_csv(config: ExperimentConfig, dataset: LabeledDataset) -> str:
     """Partition membership per run, for auditing subsampling behaviour."""
-    out = io.StringIO()
-    out.write(f"# format_version={FORMAT_VERSION}\n")
-    out.write("run_index,partition,row_index\n")
-    for run_index in range(config.runs):
-        rs = run_seed(config.base_seed, run_index)
-        split = stratified_split(dataset, stream_seed(rs, STREAM_SPLIT))
-        for name, idx in (
-            ("train", split.train_idx),
-            ("validation", split.validation_idx),
-            ("test", split.test_idx),
-        ):
-            for row in idx:
-                out.write(f"{run_index},{name},{row}\n")
-    return out.getvalue()
+    def rows():
+        for run_index in range(config.runs):
+            split = stratified_split(
+                dataset, stream_seed(run_seed(config.base_seed, run_index), STREAM_SPLIT))
+            for name, idx in _partitions(split):
+                for row in idx:
+                    yield run_index, name, row
+    return _csv_text(("run_index", "partition", "row_index"), rows())
 
 
 def stderr_progress(done: int, total: int):

@@ -161,7 +161,8 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize(
         "row,detail",
         [("0,logreg,11,0.5", "expected 9 fields, got 4"),
-         ("0,logreg,11,high,0.5,0.5,0.5,,abc", "could not convert")],
+         ("0,logreg,11,high,0.5,0.5,0.5,,abc", "could not convert"),
+         ("0,logreg,11,0.5,0.5,0.5,0.5,maybe,abc", "early_stopped")],
     )
     def test_bad_row_is_data_error(self, tabular_csv, tmp_path, capsys, row, detail):
         out = tmp_path / "out"
@@ -222,26 +223,34 @@ class TestAllCommand:
          ("runs", True, "'runs'"), ("models", "svm", "'models'"),
          ("models", 5, "'models'"), ("model_params", [], "'model_params'"),
          ("model_params", {"svm": 5}, "'svm'"),
-         ("model_params", {"svm": {"c": "big"}}, "'c'")],
+         ("model_params", {"svm": {"c": "big"}}, "'c'"),
+         ("dataset.kind", 5, "'kind'"), ("dataset.csv", 5, "'csv'"),
+         ("dataset.root", ["in"], "'root'"), ("dataset.manifest", 7, "'manifest'"),
+         ("dataset.label_column", 3, "'label_column'"),
+         ("dataset.drop_columns", "name", "'drop_columns'"),
+         ("dataset.drop_columns", ["name", 3], "'drop_columns'"),
+         ("output_dir", None, "'output_dir'")],
     )
     def test_bad_config_value_is_usage_error(self, tabular_csv, tmp_path, capsys,
-                                             key, value, named):
+                                             monkeypatch, key, value, named):
         config = {
             "dataset": {"kind": "tabular", "csv": str(tabular_csv),
                         "label_column": "status", "drop_columns": ["name"]},
             "models": ["logreg", "svm"],
             "runs": 3,
-            key: value,
+            "output_dir": str(tmp_path / "out"),
         }
+        section, _, name = key.rpartition(".")
+        (config[section] if section else config)[name] = value
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
-        code = cli_main(["all", "--config", str(config_path), "--quiet",
-                         "--out", str(tmp_path / "out")])
+        monkeypatch.chdir(tmp_path)  # a relative output_dir would land here
+        code = cli_main(["all", "--config", str(config_path), "--quiet"])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert named in err
-        assert not (tmp_path / "out").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 class TestExtract:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -180,7 +181,9 @@ class TestRunExperiment:
         assert runs_csv_text(a) == runs_csv_text(b)
 
     def test_worker_count_does_not_change_output(self, tab_config, tab_dataset):
-        serial = run_experiment(tab_config, dataset=tab_dataset)
+        calls = []
+        serial = run_experiment(tab_config, dataset=tab_dataset,
+                                progress=lambda *call: calls.append(call))
         parallel_cfg = ExperimentConfig.from_dict(
             {
                 "dataset": tab_config.dataset.to_dict(),
@@ -190,17 +193,26 @@ class TestRunExperiment:
                 "workers": 3,
             }
         )
-        parallel = run_experiment(parallel_cfg, dataset=tab_dataset)
+        parallel = run_experiment(parallel_cfg, dataset=tab_dataset,
+                                  progress=lambda *call: calls.append(call))
         assert runs_csv_text(serial) == runs_csv_text(parallel)
+        # once per task on each path, in order
+        assert calls == 2 * [(done, 10) for done in range(1, 11)]
 
-    def test_resume_completes_missing_pairs(self, tab_config, tab_dataset):
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_resume_completes_missing_pairs(self, tab_config, tab_dataset, workers):
         full = run_experiment(tab_config, dataset=tab_dataset)
         partial = RunTable(
             records=tuple(r for i, r in enumerate(full.records) if i % 3 != 0),
             config_fingerprint=full.config_fingerprint,
         )
-        resumed = run_experiment(tab_config, dataset=tab_dataset, existing=partial)
+        calls = []
+        resumed = run_experiment(dataclasses.replace(tab_config, workers=workers),
+                                 dataset=tab_dataset, existing=partial,
+                                 progress=lambda *call: calls.append(call))
         assert runs_csv_text(resumed) == runs_csv_text(full)
+        # the gaps (rows 0, 3, 6, 9) are the only tasks computed and counted
+        assert calls == [(done, 4) for done in range(1, 5)]
 
     def test_resume_reuses_existing_rows(self, tab_config, tab_dataset):
         full = run_experiment(tab_config, dataset=tab_dataset)
