@@ -50,6 +50,10 @@ STREAM_SPLIT = 0
 STREAM_OVERSAMPLE_TRAIN = 1
 STREAM_OVERSAMPLE_VAL = 2
 STREAM_MODEL_BASE = 3
+# Version of how a seed becomes model results; runs.csv fingerprints carry
+# it, so --resume refuses rows of an older protocol. 2: forests draw their
+# columns level by level (models/forest.py).
+SEED_PROTOCOL = 2
 
 DEFAULT_OUTPUT_ENV = "VOICEBENCH_OUT"
 
@@ -111,6 +115,10 @@ class DatasetSpec:
 
     @staticmethod
     def from_dict(raw: dict) -> "DatasetSpec":
+        known = {f.name for f in dataclasses.fields(DatasetSpec)}
+        for key in raw:
+            if key not in known:
+                raise UsageError(f"unknown dataset key {key!r}")
         return DatasetSpec(
             kind=raw.get("kind", ""),
             root=raw.get("root"),
@@ -202,6 +210,7 @@ class ExperimentConfig:
             "runs": self.runs,
             "base_seed": self.base_seed,
             "alpha": self.alpha,
+            "seed_protocol": SEED_PROTOCOL,
         }
         digest = hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()
         return digest[:16]

@@ -1,12 +1,13 @@
 """Gradient boosting for binomial deviance with depth-limited trees.
 
-Stage k grows a regression tree (with the CART engine shared with the
-random forest) on the residual y - sigmoid(F), using the Friedman
-improvement criterion n_l*n_r/(n_l+n_r) * (mean_l - mean_r)^2,
-then replaces each leaf value with a one-step Newton update
-sum(residual) / sum(p*(1-p)) over the leaf's rows. Scores advance by
-learning_rate times the leaf value. No subsampling anywhere, so training
-is deterministic without a seed.
+Stage k grows one regression tree on the residual y - sigmoid(F) with the
+level-wise CART engine of the random forest, using the Friedman
+improvement criterion n_l*n_r/(n_l+n_r) * (mean_l - mean_r)^2 over every
+column. The root presort is made once and shared by all stages, since the
+root rows never change. Each leaf value is a one-step Newton update
+sum(residual) / sum(p*(1-p)) over the leaf's rows in row-index order.
+Scores advance by learning_rate times the leaf value. No subsampling
+anywhere, so training is deterministic without a seed.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .base import TrainMeta, binomial_deviance, check_predict_input, sigmoid
-from .forest import grow
+from .forest import grow, leaf_values, presort
 
 _MIN_IMPROVEMENT = 1e-12
 _NEWTON_FLOOR = 1e-150
@@ -26,8 +27,8 @@ def _friedman_gain(left_sum, right_sum, n_left, n_right):
     return n_left * n_right / (n_left + n_right) * (left_sum / n_left - right_sum / n_right) ** 2
 
 
-def _newton_leaf(residuals: np.ndarray, probs: np.ndarray) -> float:
-    denom = float(np.sum(probs * (1.0 - probs)))
+def _newton_leaf(residuals: np.ndarray, hessians: np.ndarray) -> float:
+    denom = float(hessians.sum())
     if denom < _NEWTON_FLOOR:
         return 0.0
     return float(residuals.sum()) / denom
@@ -45,8 +46,8 @@ class BoostModel:
     def raw_scores(self, features: np.ndarray) -> np.ndarray:
         features = check_predict_input(features, self.n_features)
         scores = np.full(features.shape[0], self.base_score)
-        for tree in self.trees:
-            scores += self.learning_rate * tree.predict_value(features)
+        for values in leaf_values(self.trees, features):  # in tree order
+            scores += self.learning_rate * values
         return scores
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
@@ -68,10 +69,13 @@ def train_gradient_boosting(
     p = float(y.mean())
     base = float(np.log(p / (1.0 - p)))  # both classes present per fit contract
 
-    all_columns = np.arange(features.shape[1])
+    n, d = features.shape
+    order = presort(features)
 
-    def columns(rows, depth):
-        return all_columns if depth < max_depth and rows.size >= 2 else None
+    every_column = np.arange(d)[None]
+
+    def columns(count):
+        return every_column.repeat(count, axis=0)
 
     scores = np.full(y.size, base)
     trees = []
@@ -79,10 +83,15 @@ def train_gradient_boosting(
     for _ in range(n_estimators):
         probs = sigmoid(scores)
         residuals = y - probs
-        tree, leaf_of_row = grow(
-            features, residuals, columns,
-            lambda rows: _newton_leaf(residuals[rows], probs[rows]),
-            _friedman_gain, _MIN_IMPROVEMENT)
+        (tree,), (leaf_of_row,) = grow(features, order, residuals, columns, _friedman_gain,
+                                       _MIN_IMPROVEMENT, max_depth=max_depth)
+        # node after node, each leaf's rows in row-index order
+        by_leaf = leaf_of_row.argsort(kind="stable")
+        r, h = residuals[by_leaf], (probs * (1.0 - probs))[by_leaf]
+        ends = np.bincount(leaf_of_row, minlength=tree.value.size).cumsum().tolist()
+        for node, lo, hi in zip(range(len(ends)), [0] + ends, ends):
+            if hi > lo:
+                tree.value[node] = _newton_leaf(r[lo:hi], h[lo:hi])
         trees.append(tree)
         # train rows take their leaf's Newton value without re-traversing
         scores = scores + learning_rate * tree.value[leaf_of_row]
@@ -93,7 +102,7 @@ def train_gradient_boosting(
         base_score=base,
         trees=trees,
         learning_rate=learning_rate,
-        n_features=features.shape[1],
+        n_features=d,
         meta=meta,
         train_deviance=deviance_path,
     )

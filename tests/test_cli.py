@@ -229,7 +229,8 @@ class TestAllCommand:
          ("dataset.label_column", 3, "'label_column'"),
          ("dataset.drop_columns", "name", "'drop_columns'"),
          ("dataset.drop_columns", ["name", 3], "'drop_columns'"),
-         ("output_dir", None, "'output_dir'")],
+         ("output_dir", None, "'output_dir'"),
+         ("dataset.drop_column", ["name"], "unknown dataset key 'drop_column'")],
     )
     def test_bad_config_value_is_usage_error(self, tabular_csv, tmp_path, capsys,
                                              monkeypatch, key, value, named):

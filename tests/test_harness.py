@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 
 import numpy as np
@@ -222,6 +223,20 @@ class TestRunExperiment:
         )
         resumed = run_experiment(tab_config, dataset=tab_dataset, existing=partial)
         assert resumed.records[0].train_ms == 1234.5  # kept, not recomputed
+
+    def test_resume_refuses_rows_of_older_seed_protocol(self, tab_config, tab_dataset, tmp_path):
+        # runs.csv files written before seed protocol 2 carry the fingerprint
+        # of the same payload without the protocol field
+        older = {"dataset": tab_config.dataset.to_dict(), "models": list(tab_config.models),
+                 "model_params": {}, "runs": tab_config.runs,
+                 "base_seed": tab_config.base_seed, "alpha": tab_config.alpha}
+        fingerprint = hashlib.sha256(canonical_dumps(older).encode()).hexdigest()[:16]
+        assert fingerprint != tab_config.fingerprint()
+        full = run_experiment(tab_config, dataset=tab_dataset)
+        path = tmp_path / "runs.csv"
+        write_runs_csv(RunTable(records=full.records, config_fingerprint=fingerprint), path)
+        with pytest.raises(UsageError, match="different configuration"):
+            run_experiment(tab_config, dataset=tab_dataset, existing=read_runs_csv(path))
 
     def test_resume_rejects_foreign_fingerprint(self, tab_config, tab_dataset):
         full = run_experiment(tab_config, dataset=tab_dataset)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from voicebench.models import (
     fit,
     make_spec,
 )
+from voicebench.models import forest
 from voicebench.models.boosting import (
     _MIN_IMPROVEMENT,
     _friedman_gain,
@@ -20,11 +22,14 @@ from voicebench.models.boosting import (
     train_gradient_boosting,
 )
 from voicebench.models.forest import (
+    _LEVEL_ENTRIES,
     ForestModel,
     Tree,
     _neg_gini,
-    best_split,
+    best_splits,
     grow,
+    leaf_values,
+    presort,
     train_random_forest,
 )
 from voicebench.models.logreg import (
@@ -378,10 +383,20 @@ class TestTreeBits:
         return np.round(x, 1), y
 
     def test_forest_trees_bit_identical(self):
+        # the pin is the digest of the slow reference of seed protocol 2
         x, y = self._tied_blobs()
+        pinned = "090879d2e6c1b21c01b5b4d7e9c1aff0d69488baedcab9c116cffc05a7b9b7fb"
+        assert _tree_digest(_reference_forest(x, y, seed=5)) == pinned
         model = train_random_forest(x, y, seed=5)
-        assert _tree_digest(model.trees) == (
-            "6e6588e357f26d3190378d46bf9f68ce2ddaf5e908d5e2d087ad458125895e32")
+        assert _tree_digest(model.trees) == pinned
+
+    def test_forest_matches_reference_across_batches(self):
+        x, y = make_blobs(seed=63, n=178, d=22, sep=0.3, std=1.5)
+        x = np.round(x, 1)
+        assert _LEVEL_ENTRIES // (178 * 22) < 45  # 45 trees make several batches
+        model = train_random_forest(x, y, n_estimators=45, seed=9)
+        assert _tree_digest(model.trees) == _tree_digest(
+            _reference_forest(x, y, seed=9, n_estimators=45))
 
     def test_boosting_trees_bit_identical(self):
         x, y = self._tied_blobs()
@@ -390,16 +405,165 @@ class TestTreeBits:
             "f2ca9587b220c7d39ed3dee7d4afdc7805f90d02f305d81dc225e7c7926dcc12")
 
 
+def _reference_forest(features, labels, seed, n_estimators=100):
+    """Seed protocol 2, one node at a time. Trees grow breadth-first in
+    batches on their bootstrap rows; each level draws column ranks for
+    every impure node of the batch in (tree, breadth-first) order, and
+    _loop_split splits it. Trees are laid out in preorder."""
+    n, d = features.shape
+    k = max(1, math.ceil(math.sqrt(d)))
+    rng = np.random.default_rng(seed)
+    bootstraps = rng.integers(0, n, size=(n_estimators, n))
+    step = max(1, _LEVEL_ENTRIES // (n * d))
+    trees = []
+    for first in range(0, n_estimators, step):
+        roots = [{"x": features[b], "y": labels[b], "rows": np.arange(n)}
+                 for b in bootstraps[first:first + step]]
+        level = roots
+        while level:
+            impure = [node for node in level
+                      if 0 < node["y"][node["rows"]].sum() < node["rows"].size]
+            ranks = np.argsort(rng.random((len(impure), d)), axis=1, kind="stable")[:, :k]
+            level = []
+            for node, columns in zip(impure, ranks):
+                split = _loop_split(node["x"], node["y"], node["rows"], columns,
+                                    _neg_gini, -np.inf)
+                if split is not None:
+                    go_left = node["x"][node["rows"], split[0]] <= split[1]
+                    node["kids"] = [{"x": node["x"], "y": node["y"], "rows": node["rows"][side]}
+                                    for side in (go_left, ~go_left)]
+                    node["split"] = split
+                    level += node["kids"]
+        trees += [_preorder_tree(root) for root in roots]
+    return trees
+
+
+def _preorder_tree(root):
+    arrays = {name: [] for name in ("feature", "threshold", "left", "right", "value")}
+
+    def visit(node):
+        at = len(arrays["feature"])
+        for column in arrays.values():
+            column.append(-1)
+        if "split" in node:
+            arrays["feature"][at], arrays["threshold"][at] = node["split"]
+            arrays["value"][at] = 0.0
+            arrays["left"][at] = visit(node["kids"][0])
+            arrays["right"][at] = visit(node["kids"][1])
+        else:
+            ones = node["y"][node["rows"]].sum()
+            arrays["threshold"][at] = 0.0
+            arrays["value"][at] = 1.0 if 2 * ones >= node["rows"].size else 0.0
+        return at
+
+    visit(root)
+    return Tree(*(np.asarray(arrays[name], dtype=dtype) for name, dtype in (
+        ("feature", np.int64), ("threshold", np.float64), ("left", np.int64),
+        ("right", np.int64), ("value", np.float64))))
+
+
+def _walk(tree, row):
+    node = 0
+    while tree.feature[node] != -1:
+        go_left = row[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return tree.value[node]
+
+
+class TestForestWidePredict:
+    """All trees walk at once; the results must equal walking each tree
+    row by row, bit for bit."""
+
+    @pytest.mark.parametrize("decimals", [None, 0, 1])
+    def test_matches_row_by_row_walk(self, decimals):
+        x, y = make_blobs(seed=64, n=80, d=5, sep=0.4, std=1.5)
+        probe = np.random.default_rng(65).normal(0.0, 2.0, size=(60, 5))
+        if decimals is not None:
+            x, probe = np.round(x, decimals), np.round(probe, decimals)
+        probe = np.vstack([probe, x])  # training rows sit on thresholds' sides exactly
+        forest_model = train_random_forest(x, y, n_estimators=30, seed=4)
+        walked = np.array([[_walk(tree, row) for row in probe] for tree in forest_model.trees])
+        assert np.array_equal(leaf_values(forest_model.trees, probe), walked)
+        for tree, expected in zip(forest_model.trees[:5], walked):
+            assert np.array_equal(tree.predict_value(probe), expected)
+        votes = walked.sum(axis=0)
+        assert np.array_equal(forest_model.predict(probe), (2 * votes >= 30).astype(int))
+        boost = train_gradient_boosting(x, y, n_estimators=25)
+        scores = np.full(probe.shape[0], boost.base_score)
+        for tree in boost.trees:
+            scores += boost.learning_rate * np.array([_walk(tree, row) for row in probe])
+        assert boost.raw_scores(probe).tobytes() == scores.tobytes()
+
+
+def _depth(tree, node=0):
+    if tree.feature[node] == -1:
+        return 0
+    return 1 + max(_depth(tree, tree.left[node]), _depth(tree, tree.right[node]))
+
+
+class TestForestCost:
+    """Guards on the shape of the work, not on time: a forest fit searches
+    once per level of each batch, and its level arrays stay small."""
+
+    @staticmethod
+    def _bench_shaped():
+        x, y = make_blobs(seed=66, n=178, d=22, sep=0.3, std=1.5)
+        return x, y
+
+    def test_one_search_per_level_of_each_batch(self, monkeypatch):
+        x, y = self._bench_shaped()
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[4].size)
+            return best_splits(*args, **kwargs)
+
+        monkeypatch.setattr(forest, "best_splits", spy)
+        model = train_random_forest(x, y, seed=2)
+        levels = 1 + max(_depth(tree) for tree in model.trees)
+        batches = math.ceil(100 / max(1, _LEVEL_ENTRIES // (178 * 22)))
+        assert len(calls) <= levels * batches
+        # each call covers many nodes: every split node was searched
+        assert sum(calls) >= sum(int(np.sum(t.feature != -1)) for t in model.trees)
+
+    def test_fit_memory_peak(self):
+        x, y = self._bench_shaped()
+        train_random_forest(x, y, n_estimators=5, seed=1)  # warm caches
+        tracemalloc.start()
+        try:
+            train_random_forest(x, y, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
+
+
 def _flat_gain(left_sum, right_sum, n_left, n_right):
     return np.zeros(np.broadcast_shapes(left_sum.shape, n_left.shape))
 
 
-def _all_columns(features):
-    return lambda rows, depth: np.arange(features.shape[1]) if rows.size >= 2 else None
-
-
 def _mean_leaf(targets):
     return lambda rows: float(targets[rows].mean())
+
+
+def best_split(features, targets, rows, columns, gain, floor):
+    """One node's split through the level search: rows (sorted) in every
+    column's presorted order, all candidates in `columns`."""
+    layout = rows[np.argsort(features[rows].T, axis=1, kind="mergesort")]
+    feature, threshold = best_splits(features, targets, layout, np.array([0]),
+                                     np.array([rows.size]), columns[None], gain, floor)
+    return None if feature[0] < 0 else (int(feature[0]), float(threshold[0]))
+
+
+def _grow_one(features, targets, leaf_value, gain, floor):
+    """One tree on every row with every column; leaves take leaf_value(rows)."""
+    d = features.shape[1]
+    (tree,), (leaf_of_row,) = grow(features, presort(features), targets,
+                                   lambda count: np.broadcast_to(np.arange(d), (count, d)),
+                                   gain, floor)
+    for node in np.flatnonzero(tree.feature == -1):
+        tree.value[node] = leaf_value(np.flatnonzero(leaf_of_row == node))
+    return tree, leaf_of_row
 
 
 def _loop_split(features, targets, rows, columns, gain, floor):
@@ -473,8 +637,7 @@ class TestSplitSearch:
         x = np.array([[hi], [v]])
         y = np.array([1, 0])
         assert best_split(x, y, np.arange(2), np.array([0]), _neg_gini, -np.inf) == (0, v)
-        tree, leaf_of_row = grow(x, y, _all_columns(x), lambda rows: float(y[rows][0]),
-                                 _neg_gini, -np.inf)
+        tree, leaf_of_row = _grow_one(x, y, lambda rows: float(y[rows][0]), _neg_gini, -np.inf)
         assert tree.threshold[0] == v
         assert np.array_equal(tree.predict_value(x), [1.0, 0.0])
         assert leaf_of_row[0] != leaf_of_row[1]
@@ -484,8 +647,8 @@ class TestSplitSearch:
         # splitting two rows one step apart gains step**2 / 2
         flat = np.array([0.0, 1e-6])
         assert _friedman_gain(0.0, 1e-6, 1.0, 1.0) <= _MIN_IMPROVEMENT
-        tree, leaf_of_row = grow(x, flat, _all_columns(x), _mean_leaf(flat),
-                                 _friedman_gain, _MIN_IMPROVEMENT)
+        tree, leaf_of_row = _grow_one(x, flat, _mean_leaf(flat), _friedman_gain,
+                                      _MIN_IMPROVEMENT)
         assert tree.feature.tolist() == [-1]
         assert np.array_equal(leaf_of_row, [0, 0])
 
@@ -495,15 +658,15 @@ class TestSplitSearch:
         assert best_split(x, flat, np.arange(2), np.array([0]), at_floor,
                           _MIN_IMPROVEMENT) is None
         steep = np.array([0.0, 2e-6])
-        tree, leaf_of_row = grow(x, steep, _all_columns(x), _mean_leaf(steep),
-                                 _friedman_gain, _MIN_IMPROVEMENT)
+        tree, leaf_of_row = _grow_one(x, steep, _mean_leaf(steep), _friedman_gain,
+                                      _MIN_IMPROVEMENT)
         assert tree.feature.tolist() == [0, -1, -1]
         assert np.array_equal(tree.value[leaf_of_row], steep)
 
     def test_leaf_of_row_matches_prediction(self):
         x, y = make_blobs(seed=61, n=60, d=4, sep=0.4, std=1.5)
         residuals = y - y.mean()
-        tree, leaf_of_row = grow(x, residuals, _all_columns(x), _mean_leaf(residuals),
-                                 _friedman_gain, _MIN_IMPROVEMENT)
+        tree, leaf_of_row = _grow_one(x, residuals, _mean_leaf(residuals), _friedman_gain,
+                                      _MIN_IMPROVEMENT)
         assert np.array_equal(tree.value[leaf_of_row], tree.predict_value(x))
         assert np.all(tree.feature[leaf_of_row] == -1)
