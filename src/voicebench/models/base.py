@@ -57,13 +57,25 @@ def make_spec(kind: str, overrides: dict | None = None) -> ClassifierSpec:
         if isinstance(params[key], tuple):
             if not isinstance(value, (list, tuple)):
                 raise UsageError(f"model {kind!r} parameter {key!r} must be a list")
-            value = tuple(value)
+            value = tuple(_count(kind, key, entry) for entry in value)
+        elif isinstance(params[key], int):
+            value = _count(kind, key, value)
         elif isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise UsageError(
                 f"model {kind!r} parameter {key!r} must be a number, got {value!r}"
             )
         params[key] = value
     return ClassifierSpec(kind, params)
+
+
+def _count(kind: str, key: str, value) -> int:
+    """An integer hyperparameter (a count or a size): whole and at least 1."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer() or value < 1):
+        raise UsageError(
+            f"model {kind!r} parameter {key!r} must be a whole number >= 1, got {value!r}"
+        )
+    return int(value)
 
 
 def _validate_train_input(features: np.ndarray, labels: np.ndarray):

@@ -7,6 +7,9 @@ penalty strength does not get rescaled by Adam's denominator. Early
 stopping watches validation loss with a fixed patience and the returned
 model always carries the best-epoch weights.
 
+Parameters, gradients and both Adam moments are rows of one array, each
+laid out [all weights | all biases] with per-layer (w, b) views into it.
+
 RNG draw order per training call: Glorot init layer by layer, then per
 epoch one permutation plus one dropout mask per hidden layer per batch.
 """
@@ -23,69 +26,70 @@ _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 
 
-def relu(t: np.ndarray) -> np.ndarray:
-    return np.maximum(t, 0.0)
-
-
-def init_params(rng: np.random.Generator, dims: tuple[int, ...]) -> list:
-    """Glorot-uniform weights, zero biases, for consecutive dim pairs."""
-    params = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        params.append((w, np.zeros(fan_out)))
-    return params
-
-
 def n_parameters(dims: tuple[int, ...]) -> int:
     return sum(fi * fo + fo for fi, fo in zip(dims[:-1], dims[1:]))
 
 
+def layer_views(flat: np.ndarray, dims: tuple[int, ...]) -> list:
+    """(w, b) views, one pair per layer, into a flat [all weights | all
+    biases] buffer of n_parameters(dims) values."""
+    views, w_at, b_at = [], 0, n_parameters(dims) - sum(dims[1:])
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        w = flat[w_at:w_at + fan_in * fan_out].reshape(fan_in, fan_out)
+        views.append((w, flat[b_at:b_at + fan_out]))
+        w_at += fan_in * fan_out
+        b_at += fan_out
+    return views
+
+
+def init_params(rng: np.random.Generator, dims: tuple[int, ...]) -> np.ndarray:
+    """Glorot-uniform weights, zero biases, for consecutive dim pairs, as a
+    flat buffer (see layer_views)."""
+    flat = np.zeros(n_parameters(dims))
+    for w, _ in layer_views(flat, dims):
+        limit = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return flat
+
+
+def _forward(params: list, x: np.ndarray, masks: list | None = None):
+    """Layer inputs (x first, then each hidden output) and the logits."""
+    activations = [x]
+    for layer, (w, b) in enumerate(params[:-1]):
+        h = activations[-1] @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
+        if masks is not None:
+            h *= masks[layer]
+        activations.append(h)
+    w, b = params[-1]
+    return activations, (activations[-1] @ w + b)[:, 0]
+
+
 def forward_logits(params: list, x: np.ndarray, masks: list | None = None) -> np.ndarray:
     """Logits for a batch; masks (one per hidden layer) enable dropout."""
-    h = x
-    for layer, (w, b) in enumerate(params[:-1]):
-        h = relu(h @ w + b)
-        if masks is not None:
-            h = h * masks[layer]
-    w, b = params[-1]
-    return (h @ w + b)[:, 0]
+    return _forward(params, x, masks)[1]
 
 
-def loss_and_grads(params: list, x: np.ndarray, y: np.ndarray,
-                   masks: list | None = None):
-    """Mean BCE loss and gradients for every weight and bias.
+def backprop(params: list, x: np.ndarray, y: np.ndarray, masks: list | None,
+             grads: list) -> None:
+    """Gradients of the mean BCE (binomial_deviance of forward_logits) for
+    every weight and bias, written into grads, a list of (w, b)-shaped pairs.
 
     Pure function of its inputs (dropout enters only through explicit
     masks), which is what makes finite-difference checking possible.
     """
-    activations = [x]
-    h = x
-    for layer, (w, b) in enumerate(params[:-1]):
-        h = relu(h @ w + b)
-        if masks is not None:
-            h = h * masks[layer]
-        activations.append(h)
-    w_out, b_out = params[-1]
-    logits = (h @ w_out + b_out)[:, 0]
-
-    loss = binomial_deviance(y, logits)
-
-    n = x.shape[0]
-    delta = ((sigmoid(logits) - y) / n)[:, None]
-    grads = [None] * len(params)
-    grads[-1] = (activations[-1].T @ delta, delta.sum(axis=0))
-    upstream = delta @ w_out.T
-    for layer in range(len(params) - 2, -1, -1):
-        if masks is not None:
-            upstream = upstream * masks[layer]
-        pre_relu_active = activations[layer + 1] > 0.0
-        upstream = upstream * pre_relu_active
-        w, _ = params[layer]
-        grads[layer] = (activations[layer].T @ upstream, upstream.sum(axis=0))
+    activations, logits = _forward(params, x, masks)
+    upstream = ((sigmoid(logits) - y) / x.shape[0])[:, None]
+    for layer in range(len(params) - 1, -1, -1):
+        grad_w, grad_b = grads[layer]
+        np.matmul(activations[layer].T, upstream, out=grad_w)
+        upstream.sum(axis=0, out=grad_b)
         if layer > 0:
-            upstream = upstream @ w.T
-    return loss, grads
+            upstream = upstream @ params[layer][0].T
+            if masks is not None:
+                upstream *= masks[layer - 1]
+            upstream *= activations[layer] > 0.0
 
 
 @dataclass
@@ -132,15 +136,16 @@ def train_dnn(
 
     rng = np.random.default_rng(seed)
     dims = (features.shape[1], *hidden, 1)
-    params = init_params(rng, dims)
+    state = np.zeros((4, n_parameters(dims)))
+    flat, grad, adam_m, adam_v = state
+    flat[:] = init_params(rng, dims)
+    params, grads = layer_views(flat, dims), layer_views(grad, dims)
+    n_weights = flat.size - sum(dims[1:])
     keep = 1.0 - dropout
-
-    adam_m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
-    adam_v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
     step = 0
 
     best_loss = float("inf")
-    best_params = [(w.copy(), b.copy()) for w, b in params]
+    best = flat.copy()
     best_epoch = 0
     wait = 0
     history = []
@@ -159,35 +164,28 @@ def train_dnn(
                 ]
             else:
                 masks = None
-            _, grads = loss_and_grads(params, xb, yb, masks)
+            backprop(params, xb, yb, masks, grads)
 
             step += 1
-            corr1 = 1.0 - _ADAM_BETA1 ** step
-            corr2 = 1.0 - _ADAM_BETA2 ** step
-            for layer, (w, b) in enumerate(params):
-                gw, gb = grads[layer]
-                mw, mb = adam_m[layer]
-                vw, vb = adam_v[layer]
-                mw *= _ADAM_BETA1
-                mw += (1.0 - _ADAM_BETA1) * gw
-                mb *= _ADAM_BETA1
-                mb += (1.0 - _ADAM_BETA1) * gb
-                vw *= _ADAM_BETA2
-                vw += (1.0 - _ADAM_BETA2) * gw * gw
-                vb *= _ADAM_BETA2
-                vb += (1.0 - _ADAM_BETA2) * gb * gb
-                # decoupled decay: penalty hits weights directly, biases never
-                w -= learning_rate * (
-                    (mw / corr1) / (np.sqrt(vw / corr2) + _ADAM_EPS) + l2 * w
-                )
-                b -= learning_rate * (mb / corr1) / (np.sqrt(vb / corr2) + _ADAM_EPS)
+            adam_m *= _ADAM_BETA1
+            adam_m += (1.0 - _ADAM_BETA1) * grad
+            adam_v *= _ADAM_BETA2
+            adam_v += (1.0 - _ADAM_BETA2) * grad * grad
+            m_hat = adam_m / (1.0 - _ADAM_BETA1 ** step)
+            denom = np.sqrt(adam_v / (1.0 - _ADAM_BETA2 ** step))
+            denom += _ADAM_EPS
+            # decoupled decay: penalty hits weights directly, biases never;
+            # learning_rate multiplies before the bias division (bit order)
+            w, b = flat[:n_weights], flat[n_weights:]
+            w -= learning_rate * (m_hat[:n_weights] / denom[:n_weights] + l2 * w)
+            b -= learning_rate * m_hat[n_weights:] / denom[n_weights:]
 
         epochs_run = epoch + 1
         val_loss = _validation_loss(params, val_x, val_y)
         history.append(val_loss)
         if val_loss < best_loss:
             best_loss = val_loss
-            best_params = [(w.copy(), b.copy()) for w, b in params]
+            best = flat.copy()
             best_epoch = epoch
             wait = 0
         else:
@@ -203,7 +201,7 @@ def train_dnn(
         best_epoch=best_epoch,
     )
     return DnnModel(
-        params=best_params,
+        params=layer_views(best, dims),
         dims=dims,
         meta=meta,
         val_loss_history=history,

@@ -21,10 +21,13 @@ _STEP_EPS = 1e-10
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
+    # the cross term is einsum without optimize, which never calls BLAS: a
+    # fixed-order single-threaded product, so the kernel bytes (and the SMO
+    # pair choices they decide) do not depend on BLAS threads
     sq = (
         np.sum(a * a, axis=1)[:, None]
         + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
+        - 2.0 * np.einsum("ik,jk->ij", a, b)
     )
     return np.exp(-gamma * np.maximum(sq, 0.0))
 

@@ -230,7 +230,9 @@ class TestAllCommand:
          ("dataset.drop_columns", "name", "'drop_columns'"),
          ("dataset.drop_columns", ["name", 3], "'drop_columns'"),
          ("output_dir", None, "'output_dir'"),
-         ("dataset.drop_column", ["name"], "unknown dataset key 'drop_column'")],
+         ("dataset.drop_column", ["name"], "unknown dataset key 'drop_column'"),
+         ("model_params", {"rf": {"n_estimators": 2.5}}, "'n_estimators'"),
+         ("model_params", {"dnn": {"hidden": [64, 0]}}, "'hidden'")],
     )
     def test_bad_config_value_is_usage_error(self, tabular_csv, tmp_path, capsys,
                                              monkeypatch, key, value, named):

@@ -2,20 +2,29 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs
+from voicebench.models.base import binomial_deviance
 from voicebench.models.dnn import (
     DnnModel,
+    backprop,
     forward_logits,
     init_params,
-    loss_and_grads,
+    layer_views,
     n_parameters,
     train_dnn,
 )
 
 
+def loss_and_grads(params, x, y, masks=None):
+    """Mean BCE loss and fresh gradient pairs for every weight and bias."""
+    grads = [(np.empty_like(w), np.empty_like(b)) for w, b in params]
+    backprop(params, x, y, masks, grads)
+    return binomial_deviance(y, forward_logits(params, x, masks)), grads
+
+
 def numeric_gradient_check(seed: int, dims=(5, 8, 4, 1), n=12, step=1e-5):
     """Max relative error between analytic and central-difference gradients."""
     rng = np.random.default_rng(seed)
-    params = init_params(rng, dims)
+    params = layer_views(init_params(rng, dims), dims)
     # shift biases off zero: exactly-zero pre-activations sit on the relu
     # kink, where the two-sided difference disagrees with any subgradient
     params = [(w, b + rng.normal(scale=0.1, size=b.shape)) for w, b in params]
@@ -54,7 +63,12 @@ class TestStructure:
         assert n_parameters((2, 3, 1)) == 2 * 3 + 3 + 3 * 1 + 1
 
     def test_init_shapes(self):
-        params = init_params(np.random.default_rng(0), (5, 8, 3, 1))
+        flat = init_params(np.random.default_rng(0), (5, 8, 3, 1))
+        params = layer_views(flat, (5, 8, 3, 1))
+        # one buffer, [all weights | all biases]
+        assert flat.shape == (n_parameters((5, 8, 3, 1)),)
+        assert all(np.shares_memory(a, flat) for pair in params for a in pair)
+        assert np.array_equal(flat[-12:], np.zeros(12))
         assert [(w.shape, b.shape) for w, b in params] == [
             ((5, 8), (8,)), ((8, 3), (3,)), ((3, 1), (1,)),
         ]
@@ -64,7 +78,7 @@ class TestStructure:
             assert np.all(b == 0.0)
 
     def test_forward_shapes(self):
-        params = init_params(np.random.default_rng(1), (4, 6, 1))
+        params = layer_views(init_params(np.random.default_rng(1), (4, 6, 1)), (4, 6, 1))
         logits = forward_logits(params, np.zeros((7, 4)))
         assert logits.shape == (7,)
 
@@ -78,7 +92,7 @@ class TestGradients:
         # gradients must stay correct when dropout masks are active
         rng = np.random.default_rng(200)
         dims = (4, 6, 3, 1)
-        params = init_params(rng, dims)
+        params = layer_views(init_params(rng, dims), dims)
         params = [(w, b + rng.normal(scale=0.1, size=b.shape)) for w, b in params]
         x = rng.normal(size=(9, 4))
         y = rng.integers(0, 2, 9).astype(np.float64)
@@ -148,7 +162,7 @@ class TestTraining:
 
     def test_decision_threshold_tie_goes_positive(self):
         # zeroed output head makes every probability exactly 0.5
-        params = init_params(np.random.default_rng(5), (3, 4, 1))
+        params = layer_views(init_params(np.random.default_rng(5), (3, 4, 1)), (3, 4, 1))
         w_last = np.zeros_like(params[-1][0])
         b_last = np.zeros_like(params[-1][1])
         model = DnnModel(params=params[:-1] + [(w_last, b_last)], dims=(3, 4, 1))
@@ -163,3 +177,143 @@ class TestTraining:
         assert model.meta.epochs_run == 5
         assert len(model.val_loss_history) == 5
         assert model.meta.early_stopped is False
+
+
+class TestReferenceBits:
+    """The trainer must reproduce, bit for bit, a plain per-layer Adam
+    trainer (_reference_train_dnn below): same parameters, validation
+    losses and stopping epochs."""
+
+    @staticmethod
+    def _check(x, y, xv, yv, **kwargs):
+        model = train_dnn(x, y, xv, yv, **kwargs)
+        params, history, best_epoch, epochs_run, early_stopped = (
+            _reference_train_dnn(x, y, xv, yv, **kwargs))
+        assert _param_bytes(model.params) == _param_bytes(params)
+        assert model.val_loss_history == history
+        assert model.meta.best_epoch == best_epoch
+        assert model.meta.epochs_run == epochs_run
+        assert model.meta.early_stopped == early_stopped
+        return early_stopped
+
+    def test_without_dropout(self):
+        x, y = make_blobs(seed=320, n=64, d=5, sep=1.0, std=1.0)
+        xv, yv = make_blobs(seed=321, n=24, d=5, sep=1.0, std=1.0)
+        self._check(x, y, xv, yv, dropout=0.0, epochs=8, batch_size=32, seed=11)
+
+    def test_with_dropout(self):
+        x, y = make_blobs(seed=322, n=64, d=5, sep=1.0, std=1.0)
+        xv, yv = make_blobs(seed=323, n=24, d=5, sep=1.0, std=1.0)
+        self._check(x, y, xv, yv, dropout=0.3, epochs=8, batch_size=16, seed=12)
+
+    def test_partial_last_batch(self):
+        x, y = make_blobs(seed=324, n=50, d=6, sep=1.0, std=1.0)
+        xv, yv = make_blobs(seed=325, n=20, d=6, sep=1.0, std=1.0)
+        assert 50 % 16 != 0
+        self._check(x, y, xv, yv, hidden=(7, 5, 3), dropout=0.3, epochs=6,
+                    batch_size=16, seed=13)
+
+    def test_early_stop(self):
+        x, y = make_blobs(seed=304, n=24, d=6, sep=0.4, std=1.6)
+        xv, yv = make_blobs(seed=305, n=40, d=6, sep=0.4, std=1.6)
+        assert self._check(x, y, xv, yv, epochs=400, patience=10, seed=3)
+
+    def test_bench_shaped_defaults(self):
+        # the oversampled training split of a 195 x 22 table is 178 rows
+        x, y = make_blobs(seed=326, n=178, d=22, sep=0.5, std=1.2)
+        xv, yv = make_blobs(seed=327, n=30, d=22, sep=0.5, std=1.2)
+        self._check(x, y, xv, yv, seed=14)
+
+
+def _param_bytes(params) -> bytes:
+    return b"".join(np.ascontiguousarray(a).tobytes() for pair in params for a in pair)
+
+
+def _reference_train_dnn(features, labels, val_features, val_labels,
+                         hidden=(64, 32), dropout=0.3, learning_rate=0.003,
+                         l2=0.001, epochs=100, batch_size=32, patience=15, seed=0):
+    """Per-layer Adam on (w, b) pairs; returns (params, history, best_epoch,
+    epochs_run, early_stopped)."""
+    from voicebench.models.base import binomial_deviance, sigmoid
+
+    def forward(params, x, masks=None):
+        activations = [x]
+        for layer, (w, b) in enumerate(params[:-1]):
+            h = np.maximum(activations[-1] @ w + b, 0.0)
+            if masks is not None:
+                h = h * masks[layer]
+            activations.append(h)
+        w, b = params[-1]
+        return activations, (activations[-1] @ w + b)[:, 0]
+
+    def grads_of(params, x, y, masks):
+        activations, logits = forward(params, x, masks)
+        delta = ((sigmoid(logits) - y) / x.shape[0])[:, None]
+        grads = [None] * len(params)
+        grads[-1] = (activations[-1].T @ delta, delta.sum(axis=0))
+        upstream = delta @ params[-1][0].T
+        for layer in range(len(params) - 2, -1, -1):
+            if masks is not None:
+                upstream = upstream * masks[layer]
+            upstream = upstream * (activations[layer + 1] > 0.0)
+            grads[layer] = (activations[layer].T @ upstream, upstream.sum(axis=0))
+            if layer > 0:
+                upstream = upstream @ params[layer][0].T
+        return grads
+
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    val_x = np.asarray(val_features, dtype=np.float64)
+    val_y = np.asarray(val_labels, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    dims = (x.shape[1], *hidden, 1)
+    params = []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        params.append((rng.uniform(-limit, limit, size=(fan_in, fan_out)),
+                       np.zeros(fan_out)))
+    keep = 1.0 - dropout
+    adam_m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
+    adam_v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    best_loss, best_epoch, wait = float("inf"), 0, 0
+    best = [(w.copy(), b.copy()) for w, b in params]
+    history, early_stopped, epochs_run = [], False, 0
+    for epoch in range(epochs):
+        order = rng.permutation(x.shape[0])
+        for start in range(0, order.size, batch_size):
+            batch = order[start:start + batch_size]
+            masks = None
+            if dropout > 0.0:
+                masks = [(rng.random((batch.size, width)) < keep) / keep
+                         for width in hidden]
+            grads = grads_of(params, x[batch], y[batch], masks)
+            step += 1
+            corr1, corr2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+            for layer, (w, b) in enumerate(params):
+                gw, gb = grads[layer]
+                mw, mb = adam_m[layer]
+                vw, vb = adam_v[layer]
+                mw *= b1
+                mw += (1.0 - b1) * gw
+                mb *= b1
+                mb += (1.0 - b1) * gb
+                vw *= b2
+                vw += (1.0 - b2) * gw * gw
+                vb *= b2
+                vb += (1.0 - b2) * gb * gb
+                w -= learning_rate * ((mw / corr1) / (np.sqrt(vw / corr2) + eps) + l2 * w)
+                b -= learning_rate * (mb / corr1) / (np.sqrt(vb / corr2) + eps)
+        epochs_run = epoch + 1
+        val_loss = binomial_deviance(val_y, forward(params, val_x)[1])
+        history.append(val_loss)
+        if val_loss < best_loss:
+            best_loss, best_epoch, wait = val_loss, epoch, 0
+            best = [(w.copy(), b.copy()) for w, b in params]
+        else:
+            wait += 1
+            if wait >= patience:
+                early_stopped = True
+                break
+    return best, history, best_epoch, epochs_run, early_stopped

@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from voicebench.models import (
     fit,
     make_spec,
 )
-from voicebench.models import forest
+from voicebench.models import forest, svm
 from voicebench.models.boosting import (
     _MIN_IMPROVEMENT,
     _friedman_gain,
@@ -55,11 +59,27 @@ class TestSpecs:
     @pytest.mark.parametrize(
         "kind,overrides",
         [("svm", {"c": "big"}), ("svm", {"c": True}), ("gb", {"max_depth": "3"}),
-         ("dnn", {"hidden": 64}), ("rf", 5)],
+         ("dnn", {"hidden": 64}), ("rf", 5),
+         ("rf", {"n_estimators": 2.5}), ("rf", {"n_estimators": 0}),
+         ("logreg", {"max_iter": 10.5}), ("svm", {"max_passes": -1}),
+         ("gb", {"n_estimators": float("inf")}), ("gb", {"max_depth": 0.5}),
+         ("dnn", {"epochs": 0}), ("dnn", {"batch_size": 8.5}), ("dnn", {"patience": 0}),
+         ("dnn", {"hidden": [64, 0]}), ("dnn", {"hidden": [64.5]}),
+         ("dnn", {"hidden": ["64"]}), ("dnn", {"epochs": True}),
+         ("dnn", {"epochs": float("nan")})],
     )
     def test_bad_value_rejected(self, kind, overrides):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError) as raised:
             make_spec(kind, overrides)
+        if isinstance(overrides, dict):
+            assert f"{kind!r}" in str(raised.value)
+            assert f"{next(iter(overrides))!r}" in str(raised.value)
+
+    def test_whole_float_counts_become_ints(self):
+        spec = make_spec("dnn", {"epochs": 20.0, "hidden": [16.0, 8]})
+        assert spec.params["epochs"] == 20 and type(spec.params["epochs"]) is int
+        assert spec.params["hidden"] == (16, 8)
+        assert all(type(width) is int for width in spec.params["hidden"])
 
     def test_override(self):
         spec = make_spec("gb", {"n_estimators": 7})
@@ -261,6 +281,45 @@ class TestSvm:
         b = train_svm_smo(x, y)
         assert np.array_equal(a.alphas, b.alphas)
         assert a.bias == b.bias
+
+    def test_kernel_bytes_independent_of_blas_threads(self):
+        # the kernel decides SMO's pair choices; on this input a threaded
+        # BLAS product gives other bytes at 2 threads than at 1
+        code = (
+            "import hashlib, numpy as np\n"
+            "from voicebench.models.svm import rbf_kernel, scale_gamma\n"
+            "x = np.random.default_rng(0).normal(size=(220, 22))\n"
+            "k = rbf_kernel(x, x, scale_gamma(x))\n"
+            "print(hashlib.sha256(k.tobytes()).hexdigest())\n"
+        )
+        src_dir = str(Path(svm.__file__).resolve().parents[2])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
+
+    def test_decision_uses_training_kernel(self, monkeypatch):
+        x, y = make_blobs(seed=32, n=40, d=3, sep=1.0, std=1.0)
+        model = train_svm_smo(x, y)
+        calls = []
+
+        def spy(a, b, gamma):
+            calls.append((a, b, gamma))
+            return rbf_kernel(a, b, gamma)
+
+        monkeypatch.setattr(svm, "rbf_kernel", spy)
+        probe = np.random.default_rng(33).normal(size=(7, 3))
+        decisions = model.decision(probe)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0][0], probe) and calls[0][1] is model.support_vectors
+        assert calls[0][2] == model.gamma
+        assert np.array_equal(decisions, rbf_kernel(probe, model.support_vectors, model.gamma)
+                              @ model.dual_coef + model.bias)
 
 
 def _stump(threshold: float, left_value: float, right_value: float) -> Tree:
