@@ -26,7 +26,7 @@ from .harness import (
     run_experiment,
 )
 from .metrics import ConfusionMatrix, MetricSet, confusion, metric_set, score
-from .mfcc import MfccParams, mel_filterbank, mfcc, stft_power, temporal_mean
+from .mfcc import mel_filterbank, mfcc, stft_power, temporal_mean
 from .models import CANONICAL_KINDS, ClassifierSpec, fit, make_spec
 from .stats import (
     PairwiseMatrix,

@@ -28,7 +28,7 @@ from .harness import (
     run_experiment,
 )
 from .jsonio import format_float
-from .mfcc import MfccParams
+from .mfcc import N_MFCC
 from .models import CANONICAL_KINDS
 
 
@@ -118,9 +118,8 @@ def _build_config(args) -> ExperimentConfig:
 
 
 def _cmd_extract(args) -> int:
-    params = MfccParams()
-    dataset = load_audio_dataset(args.audio_dir, load_manifest(args.manifest), params)
-    header = ("path", "label", *(f"mfcc_{i}" for i in range(params.n_mfcc)))
+    dataset = load_audio_dataset(args.audio_dir, load_manifest(args.manifest))
+    header = ("path", "label", *(f"mfcc_{i}" for i in range(N_MFCC)))
     rows = ((rid, label, *map(format_float, row))
             for rid, label, row in zip(dataset.row_ids, dataset.labels, dataset.features))
     harness._write_text(args.out, harness._csv_text(header, rows))

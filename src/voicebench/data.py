@@ -63,19 +63,14 @@ class LabeledDataset:
         return int(np.sum(self.labels == 0)), int(np.sum(self.labels == 1))
 
 
-def clip_to_features(clip: audio.AudioClip, params: mfcc.MfccParams) -> np.ndarray:
+def clip_to_features(clip: audio.AudioClip) -> np.ndarray:
     """Normalize rate and duration, then summarize as one MFCC mean vector."""
-    clip = audio.resample(clip, params.sample_rate)
-    clip = audio.fix_duration(clip, params.target_duration)
-    return mfcc.temporal_mean(mfcc.mfcc(clip, params))
+    clip = audio.resample(clip, mfcc.SAMPLE_RATE)
+    clip = audio.fix_duration(clip, mfcc.DURATION_S)
+    return mfcc.temporal_mean(mfcc.mfcc(clip))
 
 
-def load_audio_dataset(
-    root,
-    group_labels: dict[str, int],
-    params: mfcc.MfccParams | None = None,
-    source_name: str | None = None,
-) -> LabeledDataset:
+def load_audio_dataset(root, group_labels: dict[str, int]) -> LabeledDataset:
     """Extract features for every WAV under the mapped group directories.
 
     group_labels maps subdirectory names (relative to root) to a 0/1 label.
@@ -83,7 +78,6 @@ def load_audio_dataset(
     lists every failure, so a partially-read corpus can never slip through.
     """
     root = Path(root)
-    params = params or mfcc.MfccParams()
     rows, labels, ids, failures = [], [], [], []
 
     for group in sorted(group_labels):
@@ -99,7 +93,7 @@ def load_audio_dataset(
         for path in wavs:
             rel = path.relative_to(root).as_posix()
             try:
-                rows.append(clip_to_features(audio.read_wav(path), params))
+                rows.append(clip_to_features(audio.read_wav(path)))
             except VoicebenchError as exc:
                 failures.append((rel, str(exc)))
                 continue
@@ -113,7 +107,7 @@ def load_audio_dataset(
     return LabeledDataset(
         np.vstack(rows),
         np.asarray(labels),
-        source_name=source_name or str(root),
+        source_name=str(root),
         row_ids=tuple(ids),
     )
 
@@ -134,7 +128,6 @@ def load_tabular_dataset(
     csv_path,
     label_column: str,
     drop_columns: tuple[str, ...] = (),
-    source_name: str | None = None,
 ) -> LabeledDataset:
     """Read a numeric CSV; all columns except the label and drops become features.
 
@@ -176,7 +169,7 @@ def load_tabular_dataset(
 
     if len(rows) == 0:
         raise EmptyDataset(f"{csv_path}: no data rows")
-    return LabeledDataset(features, labels, source_name=source_name or str(csv_path))
+    return LabeledDataset(features, labels, source_name=str(csv_path))
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,7 @@ from .errors import (
     ZeroVariance,
 )
 from .jsonio import canonical_dumps, canonical_loads, format_float
-from .mfcc import MfccParams
-from .models import CANONICAL_KINDS, ClassifierSpec, fit, make_spec
+from .models import CANONICAL_KINDS, ClassifierSpec, fit, make_spec, whole_count
 
 FORMAT_VERSION = 1
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -115,18 +114,15 @@ class DatasetSpec:
 
     @staticmethod
     def from_dict(raw: dict) -> "DatasetSpec":
-        known = {f.name for f in dataclasses.fields(DatasetSpec)}
-        for key in raw:
-            if key not in known:
-                raise UsageError(f"unknown dataset key {key!r}")
-        return DatasetSpec(
-            kind=raw.get("kind", ""),
-            root=raw.get("root"),
-            manifest=raw.get("manifest"),
-            csv=raw.get("csv"),
-            label_column=raw.get("label_column"),
-            drop_columns=raw.get("drop_columns", ()),
-        )
+        _refuse_unknown_keys(DatasetSpec, raw, "dataset key")
+        return DatasetSpec(**{"kind": "", **raw})  # no kind is an unknown kind
+
+
+def _refuse_unknown_keys(cls, raw: dict, noun: str) -> None:
+    known = {f.name for f in dataclasses.fields(cls)}
+    for key in raw:
+        if key not in known:
+            raise UsageError(f"unknown {noun} {key!r}")
 
 
 def load_manifest(path) -> dict[str, int]:
@@ -156,10 +152,10 @@ class ExperimentConfig:
     output_dir: str = ""
 
     def __post_init__(self):
+        for key in ("runs", "workers"):
+            object.__setattr__(self, key, whole_count(f"config key {key!r}", getattr(self, key)))
         for key, kind, wanted, noun in (
-            ("runs", int, numbers.Integral, "an integer"),
             ("base_seed", int, numbers.Integral, "an integer"),
-            ("workers", int, numbers.Integral, "an integer"),
             ("alpha", float, numbers.Real, "a number"),
             ("output_dir", str, str, "a string"),
         ):
@@ -167,26 +163,16 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, wanted):
                 raise UsageError(f"config key {key!r} must be {noun}, got {value!r}")
             object.__setattr__(self, key, kind(value))
-        if self.runs < 1:
-            raise UsageError(f"runs must be >= 1, got {self.runs}")
-        if self.workers < 1:
-            raise UsageError(f"workers must be >= 1, got {self.workers}")
         if not (0.0 < self.alpha < 1.0):
             raise UsageError(f"alpha must lie in (0, 1), got {self.alpha}")
         if isinstance(self.models, str) or not isinstance(self.models, (list, tuple)):
             raise UsageError(f"config key 'models' must be a list, got {self.models!r}")
         if not self.models:
             raise UsageError("need at least one model")
-        seen = set()
-        for kind in self.models:
-            if kind not in CANONICAL_KINDS:
-                raise UsageError(
-                    f"unknown model kind {kind!r}; valid kinds: "
-                    f"{', '.join(CANONICAL_KINDS)}"
-                )
-            if kind in seen:
+        for i, kind in enumerate(self.models):
+            make_spec(kind)  # refuses unknown kinds
+            if kind in self.models[:i]:
                 raise UsageError(f"model kind {kind!r} listed twice")
-            seen.add(kind)
         if not isinstance(self.model_params, dict):
             raise UsageError("config key 'model_params' must be an object")
         for kind, overrides in self.model_params.items():
@@ -221,25 +207,13 @@ class ExperimentConfig:
         for key, value in (overrides or {}).items():
             if value is not None:
                 merged[key] = value
+        merged.pop("format_version", None)
         if "dataset" not in merged:
             raise UsageError("config needs a 'dataset' section")
-        known = {"dataset", "models", "model_params", "runs", "base_seed",
-                 "workers", "alpha", "output_dir", "format_version"}
-        for key in merged:
-            if key not in known:
-                raise UsageError(f"unknown config key {key!r}")
+        _refuse_unknown_keys(ExperimentConfig, merged, "config key")
         if not isinstance(merged["dataset"], dict):
             raise UsageError("config key 'dataset' must be an object")
-        return ExperimentConfig(
-            dataset=DatasetSpec.from_dict(merged["dataset"]),
-            models=merged.get("models", CANONICAL_KINDS),
-            model_params=merged.get("model_params", {}),
-            runs=merged.get("runs", 1000),
-            base_seed=merged.get("base_seed", 0),
-            workers=merged.get("workers", 1),
-            alpha=merged.get("alpha", 0.05),
-            output_dir=merged.get("output_dir", ""),
-        )
+        return ExperimentConfig(**{**merged, "dataset": DatasetSpec.from_dict(merged["dataset"])})
 
     @staticmethod
     def from_file(path, overrides: dict | None = None) -> "ExperimentConfig":
@@ -250,9 +224,9 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(raw, overrides)
 
 
-def load_dataset(spec: DatasetSpec, params: MfccParams | None = None) -> LabeledDataset:
+def load_dataset(spec: DatasetSpec) -> LabeledDataset:
     if spec.kind == "audio":
-        return load_audio_dataset(spec.root, load_manifest(spec.manifest), params)
+        return load_audio_dataset(spec.root, load_manifest(spec.manifest))
     return load_tabular_dataset(spec.csv, spec.label_column, spec.drop_columns)
 
 

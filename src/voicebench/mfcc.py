@@ -2,12 +2,10 @@
 
 The chain is power STFT (periodic Hann, no center padding) -> triangular
 mel filterbank on the linear power spectrum -> log with an absolute floor
--> DCT-II with orthonormal scaling, keeping the first n_mfcc coefficients.
+-> DCT-II with orthonormal scaling, keeping the first N_MFCC coefficients.
 A clip is summarized by the mean coefficient vector over frames.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,38 +13,17 @@ from .audio import AudioClip
 from .errors import ClipTooShort
 
 
-@dataclass(frozen=True)
-class MfccParams:
-    """Extraction settings; defaults describe 1-second clips at 16 kHz."""
-
-    sample_rate: int = 16000
-    target_duration: float = 1.0
-    n_mfcc: int = 13
-    n_mels: int = 40
-    n_fft: int = 400
-    hop: int = 160
-    fmin: float = 0.0
-    fmax: float | None = None  # None means Nyquist
-    log_floor: float = 1e-10
-
-    def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-        if self.target_duration <= 0:
-            raise ValueError("target_duration must be positive")
-        if not (0 < self.n_mfcc <= self.n_mels):
-            raise ValueError("need 0 < n_mfcc <= n_mels")
-        if self.n_fft <= 0 or self.hop <= 0 or self.hop > self.n_fft:
-            raise ValueError("need 0 < hop <= n_fft")
-        if self.log_floor <= 0:
-            raise ValueError("log_floor must be positive")
-        fmax = self.resolved_fmax
-        if not (0 <= self.fmin < fmax <= self.sample_rate / 2):
-            raise ValueError("need 0 <= fmin < fmax <= sample_rate/2")
-
-    @property
-    def resolved_fmax(self) -> float:
-        return self.sample_rate / 2 if self.fmax is None else self.fmax
+# Extraction settings, fixed so that every feature row of every corpus comes
+# from the same front end (tools/gen_mfcc_golden.py restates them).
+SAMPLE_RATE = 16000
+DURATION_S = 1.0
+N_MFCC = 13
+N_MELS = 40
+N_FFT = 400
+HOP = 160
+FMIN = 0.0
+FMAX = SAMPLE_RATE / 2
+LOG_FLOOR = 1e-10
 
 
 def hz_to_mel(hz):
@@ -70,39 +47,38 @@ def periodic_hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def stft_power(clip: AudioClip, params: MfccParams) -> np.ndarray:
-    """Power spectrogram, shape (n_frames, n_fft//2 + 1).
+def stft_power(clip: AudioClip) -> np.ndarray:
+    """Power spectrogram, shape (n_frames, N_FFT//2 + 1).
 
     Frames are taken from the signal as-is (no center padding); a clip
     shorter than one window raises ClipTooShort.
     """
     x = clip.samples
-    n_fft, hop = params.n_fft, params.hop
-    if x.size < n_fft:
+    if x.size < N_FFT:
         raise ClipTooShort(
-            f"clip has {x.size} samples; analysis window needs {n_fft}"
+            f"clip has {x.size} samples; analysis window needs {N_FFT}"
         )
-    frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop]
-    spectrum = np.fft.rfft(frames * periodic_hann(n_fft), n=n_fft, axis=1)
+    frames = np.lib.stride_tricks.sliding_window_view(x, N_FFT)[::HOP]
+    spectrum = np.fft.rfft(frames * periodic_hann(N_FFT), n=N_FFT, axis=1)
     return (spectrum.real ** 2 + spectrum.imag ** 2)
 
 
-def mel_edge_frequencies(params: MfccParams) -> np.ndarray:
-    """n_mels + 2 filter edge frequencies in Hz, equally spaced in mel."""
-    mel_lo = hz_to_mel(params.fmin)
-    mel_hi = hz_to_mel(params.resolved_fmax)
-    return mel_to_hz(np.linspace(mel_lo, mel_hi, params.n_mels + 2))
+def mel_edge_frequencies() -> np.ndarray:
+    """N_MELS + 2 filter edge frequencies in Hz, equally spaced in mel."""
+    mel_lo = hz_to_mel(FMIN)
+    mel_hi = hz_to_mel(FMAX)
+    return mel_to_hz(np.linspace(mel_lo, mel_hi, N_MELS + 2))
 
 
-def mel_filterbank(params: MfccParams) -> np.ndarray:
-    """Triangular mel filters on FFT bin frequencies, shape (n_mels, n_bins).
+def mel_filterbank() -> np.ndarray:
+    """Triangular mel filters on FFT bin frequencies, shape (N_MELS, n_bins).
 
     Triangles are unit-peak (no area normalization) and evaluated at the
-    bin centers k * sample_rate / n_fft.
+    bin centers k * SAMPLE_RATE / N_FFT.
     """
-    edges = mel_edge_frequencies(params)
-    n_bins = params.n_fft // 2 + 1
-    bin_freqs = np.arange(n_bins) * (params.sample_rate / params.n_fft)
+    edges = mel_edge_frequencies()
+    n_bins = N_FFT // 2 + 1
+    bin_freqs = np.arange(n_bins) * (SAMPLE_RATE / N_FFT)
 
     lower = edges[:-2][:, None]
     center = edges[1:-1][:, None]
@@ -146,20 +122,20 @@ def _dct_truncated(x: np.ndarray, n_out: int) -> np.ndarray:
     return np.concatenate([c0[..., None], rest], axis=-1)
 
 
-def mfcc(clip: AudioClip, params: MfccParams) -> np.ndarray:
-    """MFCC frames, shape (n_frames, n_mfcc).
+def mfcc(clip: AudioClip) -> np.ndarray:
+    """MFCC frames, shape (n_frames, N_MFCC).
 
-    The clip is expected to already be at params.sample_rate; rate
-    normalization lives in the audio module.
+    The clip is expected to already be at SAMPLE_RATE; rate normalization
+    lives in the audio module.
     """
-    power = stft_power(clip, params)
-    mel_energy = power @ mel_filterbank(params).T
-    log_mel = np.log(np.maximum(mel_energy, params.log_floor))
-    return _dct_truncated(log_mel, params.n_mfcc)
+    power = stft_power(clip)
+    mel_energy = power @ mel_filterbank().T
+    log_mel = np.log(np.maximum(mel_energy, LOG_FLOOR))
+    return _dct_truncated(log_mel, N_MFCC)
 
 
 def temporal_mean(frames: np.ndarray) -> np.ndarray:
-    """Collapse (n_frames, n_mfcc) to one n_mfcc vector by mean over time."""
+    """Collapse (n_frames, N_MFCC) to one N_MFCC vector by mean over time."""
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] == 0:
         raise ValueError("need a non-empty 2-D frame matrix")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import TrainMeta, binomial_deviance, check_predict_input, sigmoid
+from .base import TrainMeta, check_predict_input, sigmoid
 from .forest import grow, leaf_values, presort
 
 _MIN_IMPROVEMENT = 1e-12
@@ -41,7 +41,6 @@ class BoostModel:
     learning_rate: float
     n_features: int
     meta: TrainMeta = field(default=None)
-    train_deviance: list = field(default_factory=list)
 
     def raw_scores(self, features: np.ndarray) -> np.ndarray:
         features = check_predict_input(features, self.n_features)
@@ -49,9 +48,6 @@ class BoostModel:
         for values in leaf_values(self.trees, features):  # in tree order
             scores += self.learning_rate * values
         return scores
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        return sigmoid(self.raw_scores(features))
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return (self.raw_scores(features) >= 0.0).astype(np.int64)
@@ -79,7 +75,6 @@ def train_gradient_boosting(
 
     scores = np.full(y.size, base)
     trees = []
-    deviance_path = [binomial_deviance(y, scores)]
     for _ in range(n_estimators):
         probs = sigmoid(scores)
         residuals = y - probs
@@ -95,14 +90,11 @@ def train_gradient_boosting(
         trees.append(tree)
         # train rows take their leaf's Newton value without re-traversing
         scores = scores + learning_rate * tree.value[leaf_of_row]
-        deviance_path.append(binomial_deviance(y, scores))
 
-    meta = TrainMeta(kind="gb")
     return BoostModel(
         base_score=base,
         trees=trees,
         learning_rate=learning_rate,
         n_features=d,
-        meta=meta,
-        train_deviance=deviance_path,
+        meta=TrainMeta(kind="gb"),
     )

@@ -102,8 +102,6 @@ class DnnModel:
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         features = check_predict_input(features, self.dims[0])
-        if features.shape[0] == 0:
-            return np.zeros(0)
         return sigmoid(forward_logits(self.params, features))
 
     def predict(self, features: np.ndarray) -> np.ndarray:

@@ -51,8 +51,6 @@ class SvmModel:
 
     def decision(self, features: np.ndarray) -> np.ndarray:
         features = check_predict_input(features, self.support_vectors.shape[1])
-        if features.shape[0] == 0:
-            return np.zeros(0)
         k = rbf_kernel(features, self.support_vectors, self.gamma)
         return k @ self.dual_coef + self.bias
 

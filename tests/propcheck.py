@@ -11,8 +11,10 @@ from voicebench.data import (
     oversample,
     stratified_split,
 )
-from voicebench.mfcc import MfccParams, mfcc
+from voicebench.mfcc import HOP, LOG_FLOOR, N_FFT, N_MELS, N_MFCC, SAMPLE_RATE, mfcc
+from voicebench.models.base import binomial_deviance
 from voicebench.models.boosting import train_gradient_boosting
+from voicebench.models.forest import leaf_values
 from voicebench.models.svm import rbf_kernel, train_svm_smo
 
 
@@ -128,6 +130,16 @@ def check_svm_feasibility(seed: int):
     assert not np.any(violations), f"{int(violations.sum())} KKT violations remain"
 
 
+def deviance_path(model, x, y) -> list:
+    """Training deviance before the first stage and after each stage."""
+    scores = np.full(y.size, model.base_score)
+    path = [binomial_deviance(y, scores)]
+    for values in leaf_values(model.trees, x):
+        scores = scores + model.learning_rate * values
+        path.append(binomial_deviance(y, scores))
+    return path
+
+
 def check_boosting_descent(seed: int):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(20, 80))
@@ -138,21 +150,20 @@ def check_boosting_descent(seed: int):
     if y.min() == y.max():
         y[0] = 1 - y[0]
     model = train_gradient_boosting(x, y, n_estimators=25)
-    path = np.asarray(model.train_deviance)
+    path = np.asarray(deviance_path(model, x, y))
     assert np.all(np.diff(path) <= 1e-12), "training deviance increased"
 
 
 def check_silence_mfcc(seed: int):
     """Silence has a canonical MFCC form under the default configuration."""
     rng = np.random.default_rng(seed)
-    params = MfccParams()
     seconds = float(rng.uniform(0.5, 1.5))
-    n = int(params.sample_rate * seconds)
-    clip = AudioClip(np.zeros(n), params.sample_rate)
-    coeffs = mfcc(clip, params)
-    assert coeffs.shape == (1 + (n - params.n_fft) // params.hop, params.n_mfcc)
+    n = int(SAMPLE_RATE * seconds)
+    clip = AudioClip(np.zeros(n), SAMPLE_RATE)
+    coeffs = mfcc(clip)
+    assert coeffs.shape == (1 + (n - N_FFT) // HOP, N_MFCC)
     assert np.all(coeffs[:, 1:] == 0.0), "silence must zero all AC coefficients"
-    expected_c0 = np.sqrt(params.n_mels) * np.log(params.log_floor)
+    expected_c0 = np.sqrt(N_MELS) * np.log(LOG_FLOOR)
     assert np.max(np.abs(coeffs[:, 0] - expected_c0)) < 1e-9
 
 

@@ -232,7 +232,9 @@ class TestAllCommand:
          ("output_dir", None, "'output_dir'"),
          ("dataset.drop_column", ["name"], "unknown dataset key 'drop_column'"),
          ("model_params", {"rf": {"n_estimators": 2.5}}, "'n_estimators'"),
-         ("model_params", {"dnn": {"hidden": [64, 0]}}, "'hidden'")],
+         ("model_params", {"dnn": {"hidden": [64, 0]}}, "'hidden'"),
+         ("models", ["svm", ["rf"]], "unknown model kind ['rf']"),
+         ("runs", 2.5, "'runs'"), ("runs", 0, "'runs'"), ("workers", 0, "'workers'")],
     )
     def test_bad_config_value_is_usage_error(self, tabular_csv, tmp_path, capsys,
                                              monkeypatch, key, value, named):
@@ -254,6 +256,22 @@ class TestAllCommand:
         assert err.startswith("error: ")
         assert named in err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_whole_float_runs_match_integer_runs(self, tabular_csv, tmp_path):
+        texts = []
+        for name, runs in (("int", 3), ("float", 3.0)):
+            config = {
+                "dataset": {"kind": "tabular", "csv": str(tabular_csv),
+                            "label_column": "status", "drop_columns": ["name"]},
+                "models": ["logreg", "gb"],
+                "runs": runs,
+                "output_dir": str(tmp_path / name),
+            }
+            config_path = tmp_path / f"{name}.json"
+            config_path.write_text(json.dumps(config))
+            assert cli_main(["run", "--config", str(config_path), "--quiet"]) == 0
+            texts.append((tmp_path / name / "runs.csv").read_bytes())
+        assert texts[0] == texts[1]
 
 
 class TestExtract:

@@ -1,3 +1,4 @@
+import ast
 import json
 from pathlib import Path
 
@@ -7,7 +8,12 @@ import pytest
 from voicebench.audio import AudioClip
 from voicebench.errors import ClipTooShort
 from voicebench.mfcc import (
-    MfccParams,
+    HOP,
+    LOG_FLOOR,
+    N_FFT,
+    N_MELS,
+    N_MFCC,
+    SAMPLE_RATE,
     dct_matrix,
     dct_ortho,
     frame_count,
@@ -23,22 +29,7 @@ from voicebench.mfcc import (
 )
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "mfcc_golden.json"
-
-
-class TestParams:
-    def test_defaults_resolve_nyquist(self):
-        p = MfccParams()
-        assert p.resolved_fmax == 8000.0
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(sample_rate=0), dict(n_mfcc=0), dict(n_mfcc=41),
-         dict(hop=0), dict(hop=500), dict(log_floor=0.0),
-         dict(fmin=9000.0), dict(fmax=9000.0)],
-    )
-    def test_rejects_bad_settings(self, kwargs):
-        with pytest.raises(ValueError):
-            MfccParams(**kwargs)
+REFERENCE_TOOL = Path(__file__).parent.parent / "tools" / "gen_mfcc_golden.py"
 
 
 class TestMelScale:
@@ -53,12 +44,11 @@ class TestMelScale:
         assert np.max(np.abs(again - freqs)) < 1e-9
 
     def test_edges_match_closed_form(self):
-        params = MfccParams()
-        edges = mel_edge_frequencies(params)
-        assert edges.shape == (params.n_mels + 2,)
+        edges = mel_edge_frequencies()
+        assert edges.shape == (N_MELS + 2,)
         lo = 2595.0 * np.log10(1.0 + 0.0 / 700.0)
         hi = 2595.0 * np.log10(1.0 + 8000.0 / 700.0)
-        mels = np.linspace(lo, hi, params.n_mels + 2)
+        mels = np.linspace(lo, hi, N_MELS + 2)
         expected = 700.0 * (10.0 ** (mels / 2595.0) - 1.0)
         assert np.max(np.abs(edges - expected)) < 1e-9
         assert np.all(np.diff(edges) > 0)
@@ -70,16 +60,16 @@ class TestStft:
 
     def test_power_shape(self):
         clip = AudioClip(np.random.default_rng(0).normal(size=16000), 16000)
-        power = stft_power(clip, MfccParams())
+        power = stft_power(clip)
         assert power.shape == (98, 201)
         assert np.all(power >= 0.0)
 
     def test_short_clip_raises(self):
         with pytest.raises(ClipTooShort):
-            stft_power(AudioClip(np.zeros(399), 16000), MfccParams())
+            stft_power(AudioClip(np.zeros(399), 16000))
 
     def test_zero_signal_zero_power(self):
-        power = stft_power(AudioClip(np.zeros(16000), 16000), MfccParams())
+        power = stft_power(AudioClip(np.zeros(16000), 16000))
         assert np.all(power == 0.0)
 
     def test_hann_window_formula(self):
@@ -94,14 +84,13 @@ class TestStft:
         # 1600 Hz at 16 kHz with a 400-point FFT lands exactly on bin 40
         t = np.arange(16000) / 16000.0
         clip = AudioClip(np.sin(2 * np.pi * 1600.0 * t), 16000)
-        power = stft_power(clip, MfccParams())
+        power = stft_power(clip)
         assert np.all(np.argmax(power, axis=1) == 40)
 
     def test_one_frame_matches_direct_dft(self):
         rng = np.random.default_rng(5)
         xs = rng.normal(size=800)
-        params = MfccParams()
-        power = stft_power(AudioClip(xs, 16000), params)
+        power = stft_power(AudioClip(xs, 16000))
 
         frame_idx = 2
         segment = xs[frame_idx * 160: frame_idx * 160 + 400]
@@ -117,25 +106,24 @@ class TestStft:
 
 class TestFilterbank:
     def test_shape_and_range(self):
-        fb = mel_filterbank(MfccParams())
+        fb = mel_filterbank()
         assert fb.shape == (40, 201)
         assert np.all(fb >= 0.0)
         assert np.all(fb <= 1.0)
 
     def test_every_filter_has_mass(self):
-        fb = mel_filterbank(MfccParams())
+        fb = mel_filterbank()
         assert np.all(fb.sum(axis=1) > 0.0)
 
     def test_support_is_contiguous(self):
-        fb = mel_filterbank(MfccParams())
+        fb = mel_filterbank()
         for row in fb:
             nz = np.flatnonzero(row > 0)
             assert np.array_equal(nz, np.arange(nz[0], nz[-1] + 1))
 
     def test_triangle_peaks_at_center(self):
-        params = MfccParams()
-        fb = mel_filterbank(params)
-        edges = mel_edge_frequencies(params)
+        fb = mel_filterbank()
+        edges = mel_edge_frequencies()
         bin_freqs = np.arange(201) * 16000.0 / 400.0
         for m, row in enumerate(fb):
             center = edges[m + 1]
@@ -164,25 +152,25 @@ class TestDct:
 class TestMfcc:
     def test_output_shape(self):
         clip = AudioClip(np.random.default_rng(1).normal(size=16000), 16000)
-        coeffs = mfcc(clip, MfccParams())
+        coeffs = mfcc(clip)
         assert coeffs.shape == (98, 13)
 
     def test_silence_canonical_form(self):
-        coeffs = mfcc(AudioClip(np.zeros(16000), 16000), MfccParams())
+        coeffs = mfcc(AudioClip(np.zeros(16000), 16000))
         assert np.all(coeffs[:, 1:] == 0.0)
         assert np.max(np.abs(coeffs[:, 0] - -145.62826800423602)) < 1e-10
 
     def test_deterministic(self):
         clip = AudioClip(np.random.default_rng(2).normal(size=16000), 16000)
-        a = mfcc(clip, MfccParams())
-        b = mfcc(clip, MfccParams())
+        a = mfcc(clip)
+        b = mfcc(clip)
         assert np.array_equal(a, b)
 
     def test_louder_signal_raises_c0(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=16000)
-        quiet = mfcc(AudioClip(0.01 * x, 16000), MfccParams())
-        loud = mfcc(AudioClip(1.0 * x, 16000), MfccParams())
+        quiet = mfcc(AudioClip(0.01 * x, 16000))
+        loud = mfcc(AudioClip(1.0 * x, 16000))
         assert np.all(loud[:, 0] > quiet[:, 0])
 
     def test_temporal_mean(self):
@@ -211,7 +199,7 @@ class TestGolden:
     def test_matches_frozen_reference(self, golden):
         signal = self._rebuild_signal(golden["recipe"])
         clip = AudioClip(signal, golden["recipe"]["sample_rate"])
-        coeffs = mfcc(clip, MfccParams())
+        coeffs = mfcc(clip)
         expected = np.array(
             [[float(v) for v in row] for row in golden["mfcc"]]
         )
@@ -222,6 +210,18 @@ class TestGolden:
     def test_temporal_mean_matches(self, golden):
         signal = self._rebuild_signal(golden["recipe"])
         clip = AudioClip(signal, golden["recipe"]["sample_rate"])
-        vec = temporal_mean(mfcc(clip, MfccParams()))
+        vec = temporal_mean(mfcc(clip))
         expected = np.array([float(v) for v in golden["temporal_mean"]])
         assert np.max(np.abs(vec - expected)) < 1e-6
+
+    def test_reference_tool_uses_package_settings(self):
+        # the golden generator keeps its own constants; they must describe
+        # the same front end as the package
+        tree = ast.parse(REFERENCE_TOOL.read_text())
+        tool = {node.targets[0].id: node.value.value
+                for node in tree.body
+                if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Constant)}
+        package = {"SAMPLE_RATE": SAMPLE_RATE, "N_FFT": N_FFT, "HOP": HOP,
+                   "N_MELS": N_MELS, "N_MFCC": N_MFCC, "LOG_FLOOR": LOG_FLOOR}
+        assert {name: tool[name] for name in package} == package

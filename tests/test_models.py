@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs
+from propcheck import deviance_path
 from voicebench.errors import DegenerateData, DimensionMismatch, UsageError
 from voicebench.models import (
     CANONICAL_KINDS,
@@ -19,10 +20,10 @@ from voicebench.models import (
     make_spec,
 )
 from voicebench.models import forest, svm
+from voicebench.models.base import binomial_deviance
 from voicebench.models.boosting import (
     _MIN_IMPROVEMENT,
     _friedman_gain,
-    binomial_deviance,
     train_gradient_boosting,
 )
 from voicebench.models.forest import (
@@ -51,6 +52,28 @@ class TestSpecs:
     def test_unknown_kind(self):
         with pytest.raises(UsageError):
             default_params("perceptron")
+
+    def test_default_table(self):
+        # the trainers' keyword defaults, without seed or positional arguments
+        table = {kind: default_params(kind) for kind in CANONICAL_KINDS}
+        assert table == {
+            "logreg": {"c": 1.0, "max_iter": 1000, "tol": 1e-6},
+            "svm": {"c": 1.0, "kkt_tol": 1e-3, "max_passes": 10000},
+            "rf": {"n_estimators": 100},
+            "gb": {"n_estimators": 100, "learning_rate": 0.1, "max_depth": 3},
+            "dnn": {"hidden": (64, 32), "dropout": 0.3, "learning_rate": 0.003,
+                    "l2": 0.001, "epochs": 100, "batch_size": 32, "patience": 15},
+        }
+        types = {kind: {key: type(value) for key, value in params.items()}
+                 for kind, params in table.items()}
+        assert types == {
+            "logreg": {"c": float, "max_iter": int, "tol": float},
+            "svm": {"c": float, "kkt_tol": float, "max_passes": int},
+            "rf": {"n_estimators": int},
+            "gb": {"n_estimators": int, "learning_rate": float, "max_depth": int},
+            "dnn": {"hidden": tuple, "dropout": float, "learning_rate": float,
+                    "l2": float, "epochs": int, "batch_size": int, "patience": int},
+        }
 
     def test_unknown_param(self):
         with pytest.raises(UsageError):
@@ -396,7 +419,7 @@ class TestBoosting:
     def test_deviance_path_descends(self):
         x, y = make_blobs(seed=50, n=60, d=3, sep=1.0, std=1.0)
         model = train_gradient_boosting(x, y, n_estimators=40)
-        path = np.asarray(model.train_deviance)
+        path = np.asarray(deviance_path(model, x, y))
         assert path.size == 41  # initial value plus one per stage
         assert abs(path[0] - binomial_deviance(y.astype(float),
                                                np.full(y.size, model.base_score))) < 1e-12
