@@ -35,13 +35,6 @@ def mel_to_hz(mel):
     return 700.0 * (np.power(10.0, np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def frame_count(n_samples: int, n_fft: int, hop: int) -> int:
-    """Frames that fit without padding: 1 + floor((n - n_fft)/hop)."""
-    if n_samples < n_fft:
-        return 0
-    return 1 + (n_samples - n_fft) // hop
-
-
 def periodic_hann(n: int) -> np.ndarray:
     # periodic variant (denominator n, not n-1), the DFT-analysis convention
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
@@ -97,29 +90,26 @@ def dct_matrix(n: int) -> np.ndarray:
     return basis
 
 
-def dct_ortho(x: np.ndarray) -> np.ndarray:
-    """Full orthonormal DCT-II along the last axis."""
-    return np.asarray(x, dtype=np.float64) @ dct_matrix(x.shape[-1]).T
+# Built once: the transposed filterbank and the DCT rows 1..N_MFCC-1 as
+# columns, the operands (and memory layouts) that every clip's products use.
+_FILTERBANK_T = mel_filterbank().T
+_DCT_REST_T = dct_matrix(N_MELS)[1:N_MFCC].T
+_FILTERBANK_T.setflags(write=False)
+_DCT_REST_T.setflags(write=False)
 
 
-def idct_ortho(coeffs: np.ndarray) -> np.ndarray:
-    return np.asarray(coeffs, dtype=np.float64) @ dct_matrix(coeffs.shape[-1])
-
-
-def _dct_truncated(x: np.ndarray, n_out: int) -> np.ndarray:
-    """First n_out orthonormal DCT-II coefficients along the last axis.
+def _dct_truncated(x: np.ndarray) -> np.ndarray:
+    """First N_MFCC orthonormal DCT-II coefficients of N_MELS values along
+    the last axis.
 
     Coefficients past the first are evaluated on the mean-removed input.
     That is algebraically the same (those basis vectors are orthogonal to
     the constant) but makes a constant input come out exactly zero instead
     of carrying rounding residue.
     """
-    n = x.shape[-1]
-    full = dct_matrix(n)
-    c0 = x.sum(axis=-1) * np.sqrt(1.0 / n)
+    c0 = x.sum(axis=-1) * np.sqrt(1.0 / N_MELS)
     centered = x - x.mean(axis=-1, keepdims=True)
-    rest = centered @ full[1:n_out].T
-    return np.concatenate([c0[..., None], rest], axis=-1)
+    return np.concatenate([c0[..., None], centered @ _DCT_REST_T], axis=-1)
 
 
 def mfcc(clip: AudioClip) -> np.ndarray:
@@ -129,9 +119,9 @@ def mfcc(clip: AudioClip) -> np.ndarray:
     lives in the audio module.
     """
     power = stft_power(clip)
-    mel_energy = power @ mel_filterbank().T
+    mel_energy = power @ _FILTERBANK_T
     log_mel = np.log(np.maximum(mel_energy, LOG_FLOOR))
-    return _dct_truncated(log_mel, N_MFCC)
+    return _dct_truncated(log_mel)
 
 
 def temporal_mean(frames: np.ndarray) -> np.ndarray:

@@ -27,13 +27,6 @@ def _friedman_gain(left_sum, right_sum, n_left, n_right):
     return n_left * n_right / (n_left + n_right) * (left_sum / n_left - right_sum / n_right) ** 2
 
 
-def _newton_leaf(residuals: np.ndarray, hessians: np.ndarray) -> float:
-    denom = float(hessians.sum())
-    if denom < _NEWTON_FLOOR:
-        return 0.0
-    return float(residuals.sum()) / denom
-
-
 @dataclass
 class BoostModel:
     base_score: float
@@ -80,13 +73,14 @@ def train_gradient_boosting(
         residuals = y - probs
         (tree,), (leaf_of_row,) = grow(features, order, residuals, columns, _friedman_gain,
                                        _MIN_IMPROVEMENT, max_depth=max_depth)
-        # node after node, each leaf's rows in row-index order
-        by_leaf = leaf_of_row.argsort(kind="stable")
-        r, h = residuals[by_leaf], (probs * (1.0 - probs))[by_leaf]
+        # node after node, each leaf's rows in row-index order (C order: pairwise sums)
+        rh = np.array((residuals, probs * (1.0 - probs))).take(leaf_of_row.argsort(kind="stable"),
+                                                              axis=1)
         ends = np.bincount(leaf_of_row, minlength=tree.value.size).cumsum().tolist()
         for node, lo, hi in zip(range(len(ends)), [0] + ends, ends):
             if hi > lo:
-                tree.value[node] = _newton_leaf(r[lo:hi], h[lo:hi])
+                r, h = rh[:, lo:hi].sum(axis=1).tolist()
+                tree.value[node] = 0.0 if h < _NEWTON_FLOOR else r / h
         trees.append(tree)
         # train rows take their leaf's Newton value without re-traversing
         scores = scores + learning_rate * tree.value[leaf_of_row]

@@ -2,9 +2,12 @@
 level-wise CART engine it shares with gradient boosting.
 
 The engine presorts each column once per fit (mergesort: ties keep row
-order) and grows a batch of trees one depth level at a time. One segmented
-search (best_splits) covers every open node of the level, and children
-inherit stable partitions of their parent's presorted rows.
+order) into intp row ids and the sorted values they hold, and grows a batch
+of trees one depth level at a time. One segmented search (best_splits)
+covers every open node of the level: it reads the layout as it stands when
+every node is open and every column a candidate (gradient boosting), and
+gathers each node's candidates otherwise. Children inherit stable
+partitions of their parent's ids and values, carried together.
 
 Seed protocol 2: one rng.integers call draws every bootstrap. Trees grow
 in batches of max(1, _LEVEL_ENTRIES // (n * d)); at each level one
@@ -63,90 +66,101 @@ def leaf_values(trees, features: np.ndarray) -> np.ndarray:
     return value[node]
 
 
-def presort(features: np.ndarray) -> np.ndarray:
-    """(d, n) rows of each column in increasing value; ties in row order."""
-    order = np.argsort(features.T, axis=1, kind="mergesort")
-    return order.astype(np.min_scalar_type(features.shape[0] - 1))
+def presort(features: np.ndarray):
+    """(rows, vals), each (d, n): the rows of each column in increasing value
+    (ties in row order) and the values they hold there."""
+    rows = np.argsort(features.T, axis=1, kind="mergesort")
+    return rows, np.take_along_axis(features.T, rows, axis=1)
 
 
 def _segment_sums(values, first, size):
-    """Running sums and totals along axis 1 per node segment [first, first
-    + size). Integer sums are exact in any order, so they run flat; a float
-    segment gets a cumsum and numpy's pairwise sum of exactly its values."""
+    """Sums along axis 1 within each node segment [first, first + size): up
+    to and including each entry, and after it. Integer sums are exact in any
+    order, so they run flat; a float segment gets a cumsum and numpy's
+    pairwise sum of exactly its values."""
     if values.dtype.kind != "f":
         running = values.cumsum(axis=1)
-        end = running[:, first + size - 1]
-        totals = np.diff(end, axis=1, prepend=0)
-        running -= np.repeat(end - totals, size, axis=1)
-        return running, totals
+        after = running[:, first + size - 1].repeat(size, axis=1) - running
+        running -= (running[:, first - 1] * (first > 0)).repeat(size, axis=1)
+        return running, after
     running, totals = np.empty_like(values), np.empty((values.shape[0], size.size))
     for j, (a, b) in enumerate(zip(first.tolist(), (first + size).tolist())):
-        np.cumsum(values[:, a:b], axis=1, out=running[:, a:b])
-        totals[:, j] = values[:, a:b].sum(axis=1)
-    return running, totals
+        values[:, a:b].cumsum(axis=1, out=running[:, a:b])
+        np.add.reduce(values[:, a:b], axis=1, out=totals[:, j])
+    return running, totals.repeat(size, axis=1) - running
 
 
-def best_splits(features, targets, rows, start, size, candidates, gain, floor: float,
-                weights=None, tree=None):
+def best_splits(targets, rows, vals, start, size, candidates, gain, floor: float,
+                weights=None):
     """(feature, threshold) of each node's best split; feature -1 where no
     gain(left_sum, right_sum, n_left, n_right) exceeds floor. rows (d, R)
-    holds each column's presorted rows node after node; node j (2+ rows)
-    sits at [start, start + size), tries candidates[j], and counts a row
-    weights[tree[j], row] times (or once)."""
-    n = features.shape[0]
+    holds each column's presorted row ids node after node, and vals their
+    values; node j (2+ rows) sits at [start, start + size), tries
+    candidates[j], and counts a row weights.flat[id] times (or once)."""
+    d, width = rows.shape
     first = size.cumsum() - size
-    nd = np.repeat(np.arange(size.size), size)
+    nd = np.arange(size.size).repeat(size)
     span = np.arange(nd.size)
-    # (k, width): row i holds every node's rows sorted by its i-th candidate,
-    # in C order so each node's sums stay pairwise per column
-    col = candidates[nd].T.copy()
-    r = rows.ravel()[col * rows.shape[1] + (span + (start - first)[nd])]
-    v = features.T.ravel()[col * n + r]
-    del col
-    if weights is None:
-        left_sum, total = _segment_sums(targets[r], first, size)
-        n_left, n_all = span + 1 - first[nd], size
+    if nd.size == width and candidates.shape[1] == d and not (candidates != np.arange(d)).any():
+        r, v = rows, vals  # every node open, every column in order: the layout as it stands
     else:
-        w = weights.ravel()[r + (tree * n)[nd]]
-        left_sum, total = _segment_sums(w * targets[r], first, size)
-        n_left, n_all = _segment_sums(w, first, size)
-        del w
-    del r
-    boundary = np.zeros(v.shape, dtype=bool)
-    np.greater(v[:, 1:], v[:, :-1], out=boundary[:, :-1])
-    boundary[:, first + size - 1] = False
+        # (k, width): row i holds every node's rows sorted by its i-th candidate,
+        # in C order (as take returns) so each node's sums stay pairwise per column
+        at = width * candidates[nd].T + (span + (start - first)[nd])
+        r, v = rows.take(at), vals.take(at)
+    if weights is None:
+        left_sum, right_sum = _segment_sums(targets.take(r), first, size)
+        n_left = np.arange(1.0, span.size + 1) - first[nd]  # the same in every column
+        n_right = size[nd] - n_left
+    else:
+        w = weights.take(r)
+        left_sum, right_sum = _segment_sums(w * targets.take(r), first, size)
+        n_left, n_right = (count.astype(np.float64) for count in _segment_sums(w, first, size))
     with np.errstate(divide="ignore", invalid="ignore"):  # n_right is 0 at node ends
-        gains = gain(left_sum, np.repeat(total, size, axis=1) - left_sum,
-                     n_left, np.repeat(n_all, size, axis=-1) - n_left)
-    gains[~boundary] = -np.inf
-    best = np.maximum.reduceat(gains, first, axis=1).max(axis=0)
-    # first maximum in (candidate, boundary) order: the smallest flat index
-    at = np.arange(gains.size).reshape(gains.shape)
-    e = np.minimum.reduceat(np.where(gains == best[nd], at, gains.size), first, axis=1).min(axis=0)
-    e = np.minimum(e, v.size - 2)
-    lo, hi = v.ravel()[e], v.ravel()[e + 1]
+        gains = gain(left_sum, right_sum, n_left, n_right)
+    # only a step up in value splits, never a node's last row (nor the last entry)
+    step = np.empty(v.shape, dtype=bool)
+    np.greater(v.ravel()[1:], v.ravel()[:-1], out=step.ravel()[:-1])
+    step[:, first + size - 1] = False
+    np.putmask(gains, ~step, -np.inf)
+    # first maximum in (candidate, boundary) order: the first candidate to
+    # reach the node's best, then its first boundary to do so
+    by_node = np.maximum.reduceat(gains, first, axis=1)
+    best = np.maximum.reduce(by_node)
+    c = (by_node == best).argmax(axis=0)
+    hit = np.where(gains.take(c[nd] * span.size + span) == best[nd], span, span.size)
+    e = c * span.size + np.minimum.reduceat(hit, first)
+    lo, hi = v.take(e), v.take(e + 1, mode="clip")
     cut = 0.5 * (lo + hi)
     # a midpoint of adjacent floats can round onto the right value; the
     # left value then still separates the two rows
     cut = np.where((lo <= cut) & (cut < hi), cut, lo)
     split = best > floor
-    feature = candidates[np.arange(size.size), e // span.size]
-    return np.where(split, feature, _LEAF), np.where(split, cut, 0.0)
+    return np.where(split, candidates[np.arange(size.size), c], _LEAF), np.where(split, cut, 0.0)
 
 
-def grow(features, order, targets, columns, gain, floor: float, weights=None,
+def grow(features, layout, targets, columns, gain, floor: float, weights=None,
          max_depth=None):
-    """Grow one tree per row of integer weights (one on every row without);
-    returns (trees with leaf values 0, leaf_of_row: each row's leaf or -1).
-    Nodes below max_depth whose targets differ are searched, with
-    columns(count) giving their candidates in (tree, breadth-first) order."""
-    d, n = order.shape
+    """Grow one tree per row of integer weights (one on every row without)
+    from a presort layout; returns (trees with leaf values 0, leaf_of_row:
+    each row's leaf or -1). Nodes below max_depth whose targets differ are
+    searched, with columns(count) giving their candidates in (tree,
+    breadth-first) order."""
+    rows, vals = layout
+    d, n = rows.shape
     if weights is None:
-        rows, size, node_of = order, np.array([n]), np.zeros(n, dtype=np.int64)
+        size, node_of = np.array([n]), np.zeros(n, dtype=np.int64)
     else:
-        present = (weights > 0)[:, order].transpose(1, 0, 2)  # (d, trees, n)
-        rows = np.extract(present, np.broadcast_to(order[:, None], present.shape)).reshape(d, -1)
+        # tree t's copy of row i has id t * n + i; a forest batch's layout is
+        # large, so its ids and positions take the smallest integer type
+        present = (weights > 0)[:, rows].transpose(1, 0, 2)  # (d, trees, n)
+        at = np.extract(present, np.broadcast_to(
+            np.arange(d * n, dtype=np.min_scalar_type(d * n - 1)).reshape(d, 1, n), present.shape))
         size = np.count_nonzero(present[0], axis=1)
+        rows = (rows.take(at).reshape(d, -1) + (n * np.arange(size.size)).repeat(size)).astype(
+            np.min_scalar_type(weights.size - 1))
+        vals = vals.take(at).reshape(d, -1)
+        targets = np.tile(targets, size.size)
         node_of = np.where(weights > 0, np.arange(size.size)[:, None], -1).ravel()
     n_trees = size.size
     tree = np.arange(n_trees)  # a level's nodes in (tree, breadth-first) order
@@ -155,52 +169,54 @@ def grow(features, order, targets, columns, gain, floor: float, weights=None,
         feature, threshold = np.full(tree.size, _LEAF), np.zeros(tree.size)
         if len(levels) != max_depth:
             start = size.cumsum() - size
-            y = targets[rows[0]]
-            open_ = np.flatnonzero(np.minimum.reduceat(y, start) < np.maximum.reduceat(y, start))
+            y = targets.take(rows[0])
+            open_ = (np.minimum.reduceat(y, start) < np.maximum.reduceat(y, start)).nonzero()[0]
             if open_.size:
                 feature[open_], threshold[open_] = best_splits(
-                    features, targets, rows, start[open_], size[open_], columns(open_.size),
-                    gain, floor, weights, tree[open_])
+                    targets, rows, vals, start[open_], size[open_], columns(open_.size),
+                    gain, floor, weights)
         split = feature != _LEAF
         base += tree.size
-        rank = split.cumsum() - 1  # children of a level's q-th split: 2q, 2q + 1
-        levels.append((tree, feature, threshold, np.where(split, base + 2 * rank, _LEAF)))
+        kid = 2 * split.cumsum() - 2  # children of a level's q-th split: 2q, 2q + 1
+        levels.append((tree, feature, threshold, base + kid))
         if not split.any():
             return _preorder(levels, node_of.reshape(n_trees, n))
-        seg = np.repeat(np.arange(tree.size), size)
-        s0, r0 = seg[split[seg]], rows[0][split[seg]]
-        child = 2 * rank[s0] + ~(features[r0, feature[s0]] <= threshold[s0])
-        at = tree[s0] * n + r0
-        node_of[at] = base + child
+        seg = np.arange(tree.size).repeat(size)
+        keep = split[seg]
+        s0, r0 = seg[keep], rows[0][keep]
+        child = kid[s0] + ~(features[r0 % n, feature[s0]] <= threshold[s0])
+        node_of[r0] = base + child
         if len(levels) != max_depth:
             # stable partition of every column by child; leaf rows sort last
-            leaf_key = 2 * rank[-1] + 2
+            leaf_key = kid[-1] + 2
             key = np.full(n_trees * n, leaf_key, dtype=np.min_scalar_type(leaf_key))
-            key[at] = child
-            key = key[rows + (tree * n)[seg]].argsort(axis=1, kind="stable")
+            key[r0] = child
+            key = key.take(rows).argsort(axis=1, kind="stable")
             key += rows.shape[1] * np.arange(d)[:, None]
-            rows = rows.ravel()[key[:, :s0.size]]
+            rows, vals = rows.take(key[:, :s0.size]), vals.take(key[:, :s0.size])
             size = np.bincount(child, minlength=leaf_key)
             del key
-        tree = np.repeat(tree[split], 2)
+        tree = tree[split].repeat(2)
 
 
 def _preorder(levels, leaf_of_row):
     """Per-tree arrays in preorder (node, left subtree, right subtree)."""
     tree, feature, threshold, left = (np.concatenate(a) for a in zip(*levels))
+    split = feature != _LEAF
+    left = np.where(split, left, _LEAF)
     walk, stack, links = [], list(range(leaf_of_row.shape[0] - 1, -1, -1)), left.tolist()
     while stack:
         walk.append(stack.pop())
         if links[walk[-1]] >= 0:
             stack += (links[walk[-1]] + 1, links[walk[-1]])
-    at = np.empty(len(walk), dtype=np.int64)
-    at[walk] = np.arange(len(walk))
+    walk = np.array(walk)
+    at = np.empty(walk.size, dtype=np.int64)
+    at[walk] = np.arange(walk.size)
     offset = at[:leaf_of_row.shape[0]]  # the first level holds the roots
     local = at - offset[tree]
-    split = left != _LEAF
     parts = [a[walk] for a in (feature, threshold, np.where(split, local[left], _LEAF),
                                np.where(split, local[left + 1], _LEAF))]
-    bounds = offset.tolist() + [len(walk)]
+    bounds = offset.tolist() + [walk.size]
     trees = [Tree(*(a[lo:hi] for a in parts), np.zeros(hi - lo))
              for lo, hi in zip(bounds, bounds[1:])]
     return trees, np.where(leaf_of_row >= 0, local[leaf_of_row], -1)

@@ -8,6 +8,8 @@ import pytest
 from voicebench.audio import AudioClip
 from voicebench.errors import ClipTooShort
 from voicebench.mfcc import (
+    _DCT_REST_T,
+    _FILTERBANK_T,
     HOP,
     LOG_FLOOR,
     N_FFT,
@@ -15,10 +17,7 @@ from voicebench.mfcc import (
     N_MFCC,
     SAMPLE_RATE,
     dct_matrix,
-    dct_ortho,
-    frame_count,
     hz_to_mel,
-    idct_ortho,
     mel_edge_frequencies,
     mel_filterbank,
     mel_to_hz,
@@ -30,6 +29,23 @@ from voicebench.mfcc import (
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "mfcc_golden.json"
 REFERENCE_TOOL = Path(__file__).parent.parent / "tools" / "gen_mfcc_golden.py"
+
+
+# Test-side helpers; the package itself does not need them.
+def frame_count(n_samples: int, n_fft: int, hop: int) -> int:
+    """Frames that fit without padding: 1 + floor((n - n_fft)/hop)."""
+    if n_samples < n_fft:
+        return 0
+    return 1 + (n_samples - n_fft) // hop
+
+
+def dct_ortho(x: np.ndarray) -> np.ndarray:
+    """Full orthonormal DCT-II along the last axis."""
+    return np.asarray(x, dtype=np.float64) @ dct_matrix(x.shape[-1]).T
+
+
+def idct_ortho(coeffs: np.ndarray) -> np.ndarray:
+    return np.asarray(coeffs, dtype=np.float64) @ dct_matrix(coeffs.shape[-1])
 
 
 class TestMelScale:
@@ -130,6 +146,17 @@ class TestFilterbank:
             peak_freq = bin_freqs[np.argmax(row)]
             # the sampled peak sits within one bin of the true center
             assert abs(peak_freq - center) <= 16000.0 / 400.0 + 1e-9
+
+
+class TestOperandsBuiltOnce:
+    def test_match_their_builders_and_are_read_only(self):
+        for built, fresh in ((_FILTERBANK_T, mel_filterbank().T),
+                             (_DCT_REST_T, dct_matrix(N_MELS)[1:N_MFCC].T)):
+            assert built.tobytes(order="A") == fresh.tobytes(order="A")
+            assert built.strides == fresh.strides
+            assert not built.flags.writeable
+            with pytest.raises(ValueError):
+                built[0, 0] = 0.0
 
 
 class TestDct:

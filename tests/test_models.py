@@ -620,6 +620,92 @@ class TestForestCost:
         assert peak <= 2 * 2 ** 20
 
 
+class TestBoostingEngine:
+    """gb stages grow through the shared level engine: bit for bit the trees
+    of a one-node-at-a-time reference, with one search per level."""
+
+    def test_bench_shaped_trees_bit_identical(self):
+        # pinned before the engine's per-level work was cut
+        x, y = TestForestCost._bench_shaped()
+        model = train_gradient_boosting(np.round(x, 1), y)
+        assert _tree_digest(model.trees) == (
+            "46bcf7433c17f695115fa33b91b9a6ffa5f6c46cd1d555a9cf56c8f9fbc6198c")
+
+    def test_matches_reference_tree(self):
+        rng = np.random.default_rng(67)
+        mixed = 0
+        for case in range(30):
+            n, d = int(rng.integers(2, 90)), int(rng.integers(1, 8))
+            x = np.round(rng.normal(size=(n, d)), int(rng.integers(0, 3)))
+            if case % 2:  # few distinct targets: pure nodes beside impure ones
+                targets = 0.5 * rng.integers(-1, 2, n)
+            else:
+                targets = rng.integers(0, 2, n) - rng.uniform(0.2, 0.8, n)
+            for max_depth in (3, None):
+                (tree,), (leaf_of_row,) = grow(
+                    x, presort(x), targets, lambda count: np.arange(d)[None].repeat(count, axis=0),
+                    _friedman_gain, _MIN_IMPROVEMENT, max_depth=max_depth)
+                expected, expected_leaf_of_row, levels_mixed = _reference_boost_tree(
+                    x, targets, max_depth)
+                assert _tree_digest([tree]) == _tree_digest([expected])
+                assert leaf_of_row.tobytes() == expected_leaf_of_row.tobytes()
+                mixed += levels_mixed
+        assert mixed > 0  # some levels searched open nodes next to closed ones
+
+    def test_one_search_per_level_of_each_stage(self, monkeypatch):
+        x, y = TestForestCost._bench_shaped()
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[4].size)
+            return best_splits(*args, **kwargs)
+
+        monkeypatch.setattr(forest, "best_splits", spy)
+        train_gradient_boosting(x, y, n_estimators=20, max_depth=3)
+        assert 20 <= len(calls) <= 3 * 20
+
+
+def _reference_boost_tree(features, targets, max_depth=None):
+    """One gb stage, one node at a time: breadth-first, a node shallower
+    than max_depth whose targets differ splits by _loop_split over every column.
+    Laid out in preorder like _reference_forest, leaf values 0; returns
+    (tree, leaf_of_row, levels holding both closed and open nodes)."""
+    n, d = features.shape
+    root, mixed = {"rows": np.arange(n)}, 0
+    level, depth = [root], 0
+    while level:
+        opened = [node for node in level if depth != max_depth
+                  and targets[node["rows"]].min() < targets[node["rows"]].max()]
+        mixed += 0 < len(opened) < len(level)
+        level, depth = [], depth + 1
+        for node in opened:
+            split = _loop_split(features, targets, node["rows"], np.arange(d),
+                                _friedman_gain, _MIN_IMPROVEMENT)
+            if split is not None:
+                go_left = features[node["rows"], split[0]] <= split[1]
+                node["split"], node["kids"] = split, [{"rows": node["rows"][side]}
+                                                      for side in (go_left, ~go_left)]
+                level += node["kids"]
+    arrays, leaf_of_row = ([], [], [], []), np.empty(n, dtype=np.int64)
+
+    def visit(node):
+        at = len(arrays[0])
+        for column, empty in zip(arrays, (-1, 0.0, -1, -1)):
+            column.append(empty)
+        if "split" in node:
+            arrays[0][at], arrays[1][at] = node["split"]
+            arrays[2][at], arrays[3][at] = visit(node["kids"][0]), visit(node["kids"][1])
+        else:
+            leaf_of_row[node["rows"]] = at
+        return at
+
+    visit(root)
+    tree = Tree(*(np.asarray(a, dtype=t) for a, t in zip(arrays, (np.int64, np.float64,
+                                                                  np.int64, np.int64))),
+                np.zeros(len(arrays[0])))
+    return tree, leaf_of_row, mixed
+
+
 def _flat_gain(left_sum, right_sum, n_left, n_right):
     return np.zeros(np.broadcast_shapes(left_sum.shape, n_left.shape))
 
@@ -632,7 +718,8 @@ def best_split(features, targets, rows, columns, gain, floor):
     """One node's split through the level search: rows (sorted) in every
     column's presorted order, all candidates in `columns`."""
     layout = rows[np.argsort(features[rows].T, axis=1, kind="mergesort")]
-    feature, threshold = best_splits(features, targets, layout, np.array([0]),
+    vals = np.take_along_axis(features.T, layout, axis=1)
+    feature, threshold = best_splits(targets, layout, vals, np.array([0]),
                                      np.array([rows.size]), columns[None], gain, floor)
     return None if feature[0] < 0 else (int(feature[0]), float(threshold[0]))
 
