@@ -7,6 +7,7 @@ CSV with a binary label column. Downstream of that, everything is arrays.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -161,11 +162,15 @@ def load_tabular_dataset(
         labels[r] = _parse_binary_label(row[label_idx], f"{csv_path} row {r + 2}")
         for c, i in enumerate(feature_idx):
             try:
-                features[r, c] = float(row[i])
+                value = float(row[i])
             except ValueError:
+                value = math.nan
+            # float() also parses nan/inf, which would tie every model at 0.5
+            if not math.isfinite(value):
                 raise NonNumericValue(
                     f"{csv_path} row {r + 2}, column {header[i]!r}: {row[i]!r}"
-                ) from None
+                )
+            features[r, c] = value
 
     if len(rows) == 0:
         raise EmptyDataset(f"{csv_path}: no data rows")

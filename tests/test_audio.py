@@ -1,19 +1,24 @@
+import hashlib
+import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import i0 as bessel_i0
 
-from conftest import wav_bytes, write_pcm16_wav
+from conftest import synth_voice, wav_bytes, write_pcm16_wav
 from voicebench.audio import (
     _CHUNK,
     AudioClip,
+    _sinc_kernel,
     decode_wav,
     fix_duration,
     read_wav,
     resample,
 )
+from voicebench.cli import cli_main
 from voicebench.errors import MalformedWav, UnsupportedEncoding
 
 
@@ -232,6 +237,100 @@ class TestResample:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             resample(AudioClip(np.zeros(10), 8000), 0)
+
+
+def _reference_chunked_resample(x, src, dst):
+    """The gather loop resample ran before it walked by phase: 8192 outputs
+    at a time, each output's kernel row and tap window copied, then reduced."""
+    n_out = max((2 * x.size * dst + src) // (2 * src), 1)
+    cutoff = min(1.0, dst / src)
+    half_width = 64.0 / cutoff
+    g = math.gcd(src, dst)
+    up, down = dst // g, src // g
+    pad = int(half_width)
+    offsets = np.arange(-pad, pad + 2, dtype=np.float64)
+    padded = np.concatenate([np.zeros(pad), x, np.zeros(pad + 2)])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, offsets.size)
+    out = np.empty(n_out, dtype=np.float64)
+    for start in range(0, n_out, 8192):
+        base, phase = np.divmod(np.arange(start, min(start + 8192, n_out)) * down, up)
+        phases, row = np.unique(phase, return_inverse=True)
+        weights = _sinc_kernel(offsets - phases[:, None] / up, cutoff, half_width)
+        out[start:start + base.size] = np.einsum("ij,ij->i", weights[row], windows[base])
+    return out
+
+
+_BYTE_SOURCES = (3000, 8000, 11025, 16001, 22050, 44100, 44101, 48000, 96000)
+_BYTE_TARGETS = (8000, 16000, 22050)
+_BYTE_LENGTHS = (1, 2, 7, 100, 5000, 23000)
+
+
+class TestResampleBytes:
+    """Walking the outputs by phase reproduces the gather loop bit for bit."""
+
+    @pytest.mark.parametrize("src", _BYTE_SOURCES)
+    def test_matches_chunked_gather(self, src):
+        rng = np.random.default_rng(src)
+        for dst in _BYTE_TARGETS:
+            if dst == src:
+                continue
+            for n in _BYTE_LENGTHS:
+                x = rng.normal(size=n)
+                out = resample(AudioClip(x, src), dst).samples
+                ref = _reference_chunked_resample(x, src, dst)
+                assert out.tobytes() == ref.tobytes(), (src, dst, n)
+
+    def test_grid_reaches_edge_layouts(self):
+        # fewer outputs than phases, and phases that fill two kernel blocks
+        layouts = [
+            (dst // math.gcd(src, dst), (2 * n * dst + src) // (2 * src))
+            for src in _BYTE_SOURCES for dst in _BYTE_TARGETS for n in _BYTE_LENGTHS
+            if src != dst
+        ]
+        assert any(up > n_out for up, n_out in layouts)
+        assert any(min(up, n_out) > _CHUNK for up, n_out in layouts)
+
+    def test_extract_csv_digest(self, tmp_path):
+        # one clip per rate the resampler sees in practice, plus a coprime
+        # rate; digest computed with the gather loop before the phase walk
+        root = tmp_path / "corpus"
+        rng = np.random.default_rng(1983)
+        rates = (8000, 11025, 16000, 22050, 44100, 48000, 44101)
+        for i, rate in enumerate(rates):
+            group = root / ("a", "b")[i % 2]
+            group.mkdir(parents=True, exist_ok=True)
+            x = synth_voice(rng, i % 2, rate, float(rng.uniform(0.8, 1.3)))
+            write_pcm16_wav(group / f"clip_{rate}.wav", x, rate)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"format_version": 1, "groups": {"a": 0, "b": 1}}))
+        out = tmp_path / "features.csv"
+        assert cli_main([
+            "extract", "--audio-dir", str(root),
+            "--manifest", str(manifest), "--out", str(out),
+        ]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "10b8584f67b3eb4fd187ef12283116f6b73b9df6d206377877d290c023c8ddc0")
+
+
+class TestResampleMemory:
+    """Phase lanes are strided views: no copied tap windows, whose size
+    grew with every output (46 MiB for 3 s at 44.1 kHz, 49 MiB for 1.5 s
+    at 48 kHz under the gather loop)."""
+
+    @pytest.mark.parametrize(
+        "rate,seconds,bound_mib", [(44100, 3.0, 8), (48000, 1.5, 2)]
+    )
+    def test_peak(self, rate, seconds, bound_mib):
+        x = np.random.default_rng(rate).normal(size=int(rate * seconds))
+        clip = AudioClip(x, rate)
+        resample(AudioClip(x[:rate], rate), 16000)  # warm caches
+        tracemalloc.start()
+        try:
+            resample(clip, 16000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2 ** 20
 
 
 class TestFixDuration:

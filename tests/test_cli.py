@@ -57,6 +57,19 @@ class TestParsing:
         ])
         assert code == 2
 
+    def test_nonfinite_cell_is_data_error(self, tabular_csv, tmp_path, capsys):
+        lines = tabular_csv.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[3] = "nan"
+        lines[5] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = cli_main(["all", *_tab_args(bad, tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad} row 6, column 'feat_02': 'nan'" in err
+        assert not (tmp_path / "out" / "runs.csv").exists()
+
     def test_console_script_help(self):
         proc = subprocess.run(
             ["voicebench", "--help"], capture_output=True, text=True, timeout=60

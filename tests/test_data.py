@@ -109,6 +109,16 @@ class TestTabularLoader:
         message = str(exc_info.value)
         assert "row 3" in message and "'b'" in message and "'oops'" in message
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_nonfinite_cell_is_located(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,b,y\n1.0,2.0,0\n1.5,{cell},1\n")
+        with pytest.raises(NonNumericValue) as exc_info:
+            load_tabular_dataset(path, label_column="y")
+        message = str(exc_info.value)
+        assert str(path) in message
+        assert "row 3" in message and "'b'" in message and f"'{cell}'" in message
+
     def test_bad_label_value(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,y\n1.0,0\n2.0,5\n")
