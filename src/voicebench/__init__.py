@@ -2,6 +2,11 @@
 classifiers, repeated stratified subsampling, and a nonparametric
 model-comparison chain with reproducible outputs.
 """
+import os
+
+# Before numpy loads: one BLAS thread, no spinning helper; workers inherit it.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .audio import AudioClip, decode_wav, fix_duration, read_wav, resample
 from .data import (
     LabeledDataset,

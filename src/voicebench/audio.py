@@ -23,7 +23,9 @@ _FORMAT_IEEE_FLOAT = 3
 # 1e-3 reconstruction tolerance used by the tests.
 _ZERO_CROSSINGS = 64
 _KAISER_BETA = 8.6
-_CHUNK = 8192  # phases per kernel-row block; coprime rates have target_rate phases
+# Kernel entries (phases x taps) per block of kernel rows: keeps each of
+# _sinc_kernel's temporaries near 512 KiB; coprime rates have target_rate phases.
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -164,8 +166,9 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     windows = np.lib.stride_tricks.sliding_window_view(padded, offsets.size)
 
     out = np.empty(n_out, dtype=np.float64)
-    for start in range(0, min(up, n_out), _CHUNK):
-        first = np.arange(start, min(start + _CHUNK, up, n_out))
+    rows = max(1, _BLOCK_ENTRIES // offsets.size)
+    for start in range(0, min(up, n_out), rows):
+        first = np.arange(start, min(start + rows, up, n_out))
         base, phase = np.divmod(first * down, up)
         weights = _sinc_kernel(offsets - phase[:, None] / up, cutoff, half_width)
         for j, b, row in zip(first.tolist(), base.tolist(), weights):

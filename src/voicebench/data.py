@@ -56,13 +56,6 @@ class LabeledDataset:
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
 
-    @property
-    def feature_dim(self) -> int:
-        return self.features.shape[1]
-
-    def class_counts(self) -> tuple[int, int]:
-        return int(np.sum(self.labels == 0)), int(np.sum(self.labels == 1))
-
 
 def clip_to_features(clip: audio.AudioClip) -> np.ndarray:
     """Normalize rate and duration, then summarize as one MFCC mean vector."""
@@ -207,7 +200,7 @@ def apply_scaler(state: ScalerState, features: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SplitTriple:
-    """Scaled train/validation/test partitions plus the fitted scaler."""
+    """Train/validation/test partitions, scaled by a scaler fitted on train."""
 
     train_features: np.ndarray
     train_labels: np.ndarray
@@ -215,7 +208,6 @@ class SplitTriple:
     validation_labels: np.ndarray
     test_features: np.ndarray
     test_labels: np.ndarray
-    scaler: ScalerState
     train_idx: np.ndarray = field(repr=False, default=None)
     validation_idx: np.ndarray = field(repr=False, default=None)
     test_idx: np.ndarray = field(repr=False, default=None)
@@ -270,7 +262,6 @@ def stratified_split(dataset: LabeledDataset, seed: int) -> SplitTriple:
         validation_labels=dataset.labels[val_idx].copy(),
         test_features=apply_scaler(scaler, dataset.features[test_idx]),
         test_labels=dataset.labels[test_idx].copy(),
-        scaler=scaler,
         train_idx=train_idx,
         validation_idx=val_idx,
         test_idx=test_idx,

@@ -31,12 +31,9 @@ def check_predict_input(features: np.ndarray, expected_dim: int) -> np.ndarray:
 
 def sigmoid(t: np.ndarray) -> np.ndarray:
     """Logistic function, split by sign so exp never overflows."""
-    out = np.empty_like(t, dtype=np.float64)
     pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    z = np.exp(np.where(pos, -t, t))
+    return np.where(pos, 1.0, z) / (1.0 + z)
 
 
 def softplus(t: np.ndarray) -> np.ndarray:

@@ -43,9 +43,6 @@ class Tree:
     right: np.ndarray
     value: np.ndarray
 
-    def predict_value(self, features: np.ndarray) -> np.ndarray:
-        return leaf_values([self], features)[0]
-
 
 def leaf_values(trees, features: np.ndarray) -> np.ndarray:
     """(trees, rows) value of the leaf each row reaches in each tree; all

@@ -8,6 +8,7 @@ from voicebench.audio import AudioClip
 from voicebench.data import (
     LabeledDataset,
     apply_scaler,
+    fit_scaler,
     oversample,
     stratified_split,
 )
@@ -68,17 +69,18 @@ def check_scaler_no_leak(seed: int):
 
     mutated = ds.features.copy()
     outside = np.concatenate([split.validation_idx, split.test_idx])
-    mutated[outside] += rng.normal(scale=100.0, size=(outside.size, ds.feature_dim))
+    mutated[outside] += rng.normal(scale=100.0, size=(outside.size, ds.features.shape[1]))
     ds2 = LabeledDataset(mutated, ds.labels, source_name=ds.source_name)
     split2 = stratified_split(ds2, seed)
 
     assert np.array_equal(split.train_idx, split2.train_idx)
-    assert np.array_equal(split.scaler.means, split2.scaler.means)
-    assert np.array_equal(split.scaler.stds, split2.scaler.stds)
     assert np.array_equal(split.train_features, split2.train_features)
-    # and the same scaler is what transformed the test rows
-    expected = apply_scaler(split.scaler, ds.features[split.test_idx])
-    assert np.array_equal(split.test_features, expected)
+    # both splits scaled every partition with the scaler of the unperturbed train rows
+    scaler = fit_scaler(ds.features[split.train_idx])
+    for data, part in ((ds, split), (ds2, split2)):
+        for rows, scaled in ((part.validation_idx, part.validation_features),
+                             (part.test_idx, part.test_features)):
+            assert np.array_equal(scaled, apply_scaler(scaler, data.features[rows]))
 
 
 def check_oversample_balance(seed: int):

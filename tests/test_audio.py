@@ -10,7 +10,7 @@ from scipy.special import i0 as bessel_i0
 
 from conftest import synth_voice, wav_bytes, write_pcm16_wav
 from voicebench.audio import (
-    _CHUNK,
+    _BLOCK_ENTRIES,
     AudioClip,
     _sinc_kernel,
     decode_wav,
@@ -229,14 +229,21 @@ class TestResample:
     def test_matches_direct_summation_across_chunks(self, src, n):
         x = np.random.default_rng(src).normal(size=n)
         out = resample(AudioClip(x, src), 16000)
-        assert out.samples.size > _CHUNK
-        for j in (0, _CHUNK - 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, out.samples.size - 1):
+        rows = _block_rows(src, 16000)
+        assert out.samples.size > rows
+        for j in (0, rows - 2, rows - 1, rows, rows + 1, out.samples.size - 1):
             ref = _reference_resample_point(x, src, 16000, j)
             assert abs(out.samples[j] - ref) < 1e-10, j
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             resample(AudioClip(np.zeros(10), 8000), 0)
+
+
+def _block_rows(src, dst):
+    """Kernel rows (phases) per block: the block budget over the tap count."""
+    taps = 2 * int(64.0 / min(1.0, dst / src)) + 2
+    return _BLOCK_ENTRIES // taps
 
 
 def _reference_chunked_resample(x, src, dst):
@@ -283,12 +290,12 @@ class TestResampleBytes:
     def test_grid_reaches_edge_layouts(self):
         # fewer outputs than phases, and phases that fill two kernel blocks
         layouts = [
-            (dst // math.gcd(src, dst), (2 * n * dst + src) // (2 * src))
+            (dst // math.gcd(src, dst), (2 * n * dst + src) // (2 * src), _block_rows(src, dst))
             for src in _BYTE_SOURCES for dst in _BYTE_TARGETS for n in _BYTE_LENGTHS
             if src != dst
         ]
-        assert any(up > n_out for up, n_out in layouts)
-        assert any(min(up, n_out) > _CHUNK for up, n_out in layouts)
+        assert any(up > n_out for up, n_out, _ in layouts)
+        assert any(min(up, n_out) > rows for up, n_out, rows in layouts)
 
     def test_extract_csv_digest(self, tmp_path):
         # one clip per rate the resampler sees in practice, plus a coprime
@@ -315,10 +322,12 @@ class TestResampleBytes:
 class TestResampleMemory:
     """Phase lanes are strided views: no copied tap windows, whose size
     grew with every output (46 MiB for 3 s at 44.1 kHz, 49 MiB for 1.5 s
-    at 48 kHz under the gather loop)."""
+    at 48 kHz under the gather loop). Kernel blocks hold a fixed number of
+    entries, however many phases a coprime rate has (235 MiB for 1.3 s at
+    44101 Hz when blocks held 8192 phases)."""
 
     @pytest.mark.parametrize(
-        "rate,seconds,bound_mib", [(44100, 3.0, 8), (48000, 1.5, 2)]
+        "rate,seconds,bound_mib", [(44100, 3.0, 8), (48000, 1.5, 2), (44101, 1.3, 8)]
     )
     def test_peak(self, rate, seconds, bound_mib):
         x = np.random.default_rng(rate).normal(size=int(rate * seconds))

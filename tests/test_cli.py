@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import voicebench
 from voicebench.cli import cli_main
 from voicebench.harness import read_runs_csv
 from voicebench.jsonio import canonical_loads
@@ -322,3 +325,49 @@ class TestExtract:
             "--out", str(tmp_path / "f.csv"),
         ])
         assert code == 2
+
+
+_SRC = str(Path(voicebench.__file__).resolve().parents[1])
+
+
+def _run_python(args, threads, timeout=300):
+    """`python args` with src on the path and OPENBLAS_NUM_THREADS set to
+    threads (None: unset); returns the finished process."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+class TestBlasThreads:
+    """Importing voicebench before numpy pins OpenBLAS to one thread, so
+    the CLI's bytes cannot depend on the caller's thread setting."""
+
+    def test_import_starts_no_blas_thread(self):
+        if not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs /proc/self/task and at least 2 CPUs")
+        code = ("import os, voicebench\n"
+                "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))\n")
+        assert _run_python(["-c", code], "4").stdout.split() == ["1", "1"]
+
+    def test_outputs_independent_of_thread_variable(self, tabular_csv, audio_corpus, tmp_path):
+        root, manifest = audio_corpus
+        outputs = []
+        for threads in (None, "1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            _run_python(["-m", "voicebench", "all", "--tabular-csv", str(tabular_csv),
+                         "--label-column", "status", "--drop-columns", "name",
+                         "--runs", "4", "--seed", "11", "--workers", "2", "--quiet",
+                         "--out", str(out)], threads)
+            _run_python(["-m", "voicebench", "extract", "--audio-dir", str(root),
+                         "--manifest", str(manifest), "--out", str(out / "features.csv")],
+                        threads)
+            outputs.append([(out / name).read_bytes()
+                            for name in ("runs.csv", "report.json", "features.csv")])
+        assert outputs[0][0].count(b"\n") == 3 + 4 * 5  # all five models ran
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]

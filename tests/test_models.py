@@ -20,7 +20,7 @@ from voicebench.models import (
     make_spec,
 )
 from voicebench.models import forest, svm
-from voicebench.models.base import binomial_deviance
+from voicebench.models.base import binomial_deviance, sigmoid
 from voicebench.models.boosting import (
     _MIN_IMPROVEMENT,
     _friedman_gain,
@@ -405,7 +405,7 @@ class TestForest:
 
     def test_stump_routing(self):
         tree = _stump(0.5, -1.0, 2.0)
-        out = tree.predict_value(np.array([[0.4], [0.5], [0.6]]))
+        out = leaf_values([tree], np.array([[0.4], [0.5], [0.6]]))[0]
         # x <= threshold goes left
         assert np.array_equal(out, [-1.0, -1.0, 2.0])
 
@@ -567,7 +567,7 @@ class TestForestWidePredict:
         walked = np.array([[_walk(tree, row) for row in probe] for tree in forest_model.trees])
         assert np.array_equal(leaf_values(forest_model.trees, probe), walked)
         for tree, expected in zip(forest_model.trees[:5], walked):
-            assert np.array_equal(tree.predict_value(probe), expected)
+            assert np.array_equal(leaf_values([tree], probe)[0], expected)
         votes = walked.sum(axis=0)
         assert np.array_equal(forest_model.predict(probe), (2 * votes >= 30).astype(int))
         boost = train_gradient_boosting(x, y, n_estimators=25)
@@ -808,7 +808,7 @@ class TestSplitSearch:
         assert best_split(x, y, np.arange(2), np.array([0]), _neg_gini, -np.inf) == (0, v)
         tree, leaf_of_row = _grow_one(x, y, lambda rows: float(y[rows][0]), _neg_gini, -np.inf)
         assert tree.threshold[0] == v
-        assert np.array_equal(tree.predict_value(x), [1.0, 0.0])
+        assert np.array_equal(leaf_values([tree], x)[0], [1.0, 0.0])
         assert leaf_of_row[0] != leaf_of_row[1]
 
     def test_friedman_gain_at_floor_makes_a_leaf(self):
@@ -837,5 +837,34 @@ class TestSplitSearch:
         residuals = y - y.mean()
         tree, leaf_of_row = _grow_one(x, residuals, _mean_leaf(residuals), _friedman_gain,
                                       _MIN_IMPROVEMENT)
-        assert np.array_equal(tree.value[leaf_of_row], tree.predict_value(x))
+        assert np.array_equal(tree.value[leaf_of_row], leaf_values([tree], x)[0])
         assert np.all(tree.feature[leaf_of_row] == -1)
+
+
+def _boolean_indexed_sigmoid(t):
+    """The earlier sigmoid: four boolean-indexed temporaries, kept as reference."""
+    out = np.empty_like(t, dtype=np.float64)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+class TestSigmoid:
+    """dnn calls sigmoid every step and gb every stage; its bytes are pinned
+    to the boolean-indexed formula it replaced."""
+
+    def test_edges_match_reference_bytes(self):
+        nan = float("nan")
+        t = np.array([0.0, -0.0, 1e-320, -1e-320, 745.0, -745.0, 800.0, -800.0,
+                      np.inf, -np.inf, nan, -nan])
+        with np.errstate(all="ignore"):
+            assert sigmoid(t).tobytes() == _boolean_indexed_sigmoid(t).tobytes()
+
+    @pytest.mark.parametrize("size", [32, 206, 100_000])
+    def test_random_match_reference_bytes(self, size):
+        t = np.random.default_rng(size).normal(0.0, 20.0, size=size)
+        out = sigmoid(t)
+        assert out.tobytes() == _boolean_indexed_sigmoid(t).tobytes()
+        assert np.all((out >= 0.0) & (out <= 1.0))
