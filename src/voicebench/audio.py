@@ -7,6 +7,7 @@ they can run in any number of worker processes.
 """
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -23,9 +24,13 @@ _FORMAT_IEEE_FLOAT = 3
 # 1e-3 reconstruction tolerance used by the tests.
 _ZERO_CROSSINGS = 64
 _KAISER_BETA = 8.6
+_KAISER_NORM = float(np.i0(_KAISER_BETA))
 # Kernel entries (phases x taps) per block of kernel rows: keeps each of
 # _sinc_kernel's temporaries near 512 KiB; coprime rates have target_rate phases.
 _BLOCK_ENTRIES = 1 << 16
+# Kernel blocks kept across clips (512 KiB each at most), for rate pairs of at
+# most this many blocks; a coprime pair's dozens would only cycle through.
+_CACHED_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -132,8 +137,23 @@ def _sinc_kernel(u: np.ndarray, cutoff: float, half_width: float) -> np.ndarray:
     """Kaiser-windowed sinc evaluated at offsets u (input-sample units)."""
     inside = np.abs(u) <= half_width
     x = np.where(inside, u / half_width, 0.0)
-    window = np.i0(_KAISER_BETA * np.sqrt(1.0 - x * x)) / np.i0(_KAISER_BETA)
+    window = np.i0(_KAISER_BETA * np.sqrt(1.0 - x * x)) / _KAISER_NORM
     return np.where(inside, cutoff * np.sinc(cutoff * u) * window, 0.0)
+
+
+def _kernel_block(up: int, down: int, cutoff: float, start: int) -> np.ndarray:
+    """Read-only kernel rows of outputs start, start + 1, ..., as many as a
+    block holds, up to the last phase."""
+    half_width = _ZERO_CROSSINGS / cutoff
+    pad = int(half_width)
+    offsets = np.arange(-pad, pad + 2, dtype=np.float64)
+    first = np.arange(start, min(start + max(1, _BLOCK_ENTRIES // offsets.size), up))
+    weights = _sinc_kernel(offsets - (first * down % up)[:, None] / up, cutoff, half_width)
+    weights.flags.writeable = False
+    return weights
+
+
+_cached_kernel_block = functools.lru_cache(maxsize=_CACHED_BLOCKS)(_kernel_block)
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
@@ -161,19 +181,17 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     g = math.gcd(source_rate, target_rate)
     up, down = target_rate // g, source_rate // g
     pad = int(half_width)
-    offsets = np.arange(-pad, pad + 2, dtype=np.float64)
+    taps = 2 * pad + 2
     padded = np.concatenate([np.zeros(pad), clip.samples, np.zeros(pad + 2)])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, offsets.size)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, taps)
 
     out = np.empty(n_out, dtype=np.float64)
-    rows = max(1, _BLOCK_ENTRIES // offsets.size)
+    rows = max(1, _BLOCK_ENTRIES // taps)
+    kernel = _cached_kernel_block if up <= _CACHED_BLOCKS * rows else _kernel_block
     for start in range(0, min(up, n_out), rows):
-        first = np.arange(start, min(start + rows, up, n_out))
-        base, phase = np.divmod(first * down, up)
-        weights = _sinc_kernel(offsets - phase[:, None] / up, cutoff, half_width)
-        for j, b, row in zip(first.tolist(), base.tolist(), weights):
+        for j, row in enumerate(kernel(up, down, cutoff, start)[:n_out - start], start):
             lane = out[j::up]
-            lane[:] = np.einsum("ij,j->i", windows[b::down][: lane.size], row)
+            lane[:] = np.einsum("ij,j->i", windows[j * down // up::down][: lane.size], row)
 
     return AudioClip(out, target_rate)
 

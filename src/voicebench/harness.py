@@ -1,11 +1,13 @@
 """Repeated-subsampling experiment harness.
 
-Every (run, model) pair is an independent task: it re-derives the run's
-split and oversampling from seeds, trains one model, and scores the held
-out test rows. Within a run all models therefore see byte-identical data,
-and results do not depend on worker count or completion order. Wall-clock
-timings are kept out of runs.csv (they would break reproducible bytes) and
-go to a sidecar file instead.
+A task is one model kind on a block of runs. For each run it re-derives
+the split and oversampling from the run's seeds, trains the model, and
+scores the held out test rows; gb trains the whole block in one stacked
+call, which gives each run the model it would get alone. Within a run all
+models therefore see byte-identical data, and results do not depend on
+block size, worker count or completion order. Wall-clock timings are kept
+out of runs.csv (they would break reproducible bytes) and go to a sidecar
+file instead.
 
 Seed derivation, fixed forever:
     run_seed   = (base_seed & 0xFFFFFFFFFFFFFFFF) XOR run_index
@@ -19,6 +21,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import itertools
 import multiprocessing
 import numbers
 import os
@@ -40,7 +43,16 @@ from .errors import (
     ZeroVariance,
 )
 from .jsonio import canonical_dumps, canonical_loads, format_float
-from .models import CANONICAL_KINDS, ClassifierSpec, fit, make_spec, whole_count
+from .models import (
+    BLOCK_KINDS,
+    CANONICAL_KINDS,
+    ClassifierSpec,
+    fit,
+    fit_block,
+    make_spec,
+    whole_count,
+)
+from .models.forest import _LEVEL_ENTRIES
 
 FORMAT_VERSION = 1
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -276,14 +288,8 @@ def _split_hash(split) -> str:
     return digest.hexdigest()[:16]
 
 
-def execute_task(
-    dataset: LabeledDataset,
-    model_params: dict,
-    run_index: int,
-    base_seed: int,
-    kind: str,
-) -> RunRecord:
-    """Train and score one model for one run; pure given its arguments."""
+def _run_sets(dataset: LabeledDataset, base_seed: int, run_index: int):
+    """(run seed, split, oversampled train pair, oversampled validation pair)."""
     rs = run_seed(base_seed, run_index)
     split = stratified_split(dataset, stream_seed(rs, STREAM_SPLIT))
     train = oversample(
@@ -294,21 +300,50 @@ def execute_task(
         split.validation_features, split.validation_labels,
         stream_seed(rs, STREAM_OVERSAMPLE_VAL),
     )
+    return rs, split, train, validation
+
+
+def execute_task(
+    dataset: LabeledDataset,
+    model_params: dict,
+    runs,
+    base_seed: int,
+    kind: str,
+) -> list[RunRecord]:
+    """Train and score one model kind on each run of a block, in run order;
+    pure given its arguments, and a run's record does not depend on the
+    block it comes in."""
+    prepared = [_run_sets(dataset, base_seed, run_index) for run_index in runs]
     spec = ClassifierSpec(kind, dict(model_params.get(kind, {})))
-    model = fit(spec, train, validation, seed=stream_seed(rs, model_stream_id(kind)))
-    scored = metrics.score(split.test_labels, model.predict(split.test_features))
-    return RunRecord(
-        run_index=run_index,
-        model=kind,
-        seed=rs,
-        accuracy=scored.accuracy,
-        precision=scored.precision,
-        recall=scored.recall,
-        f1=scored.f1,
-        early_stopped=model.meta.early_stopped,
-        split_hash=_split_hash(split),
-        train_ms=model.meta.train_ms,
-    )
+    if kind in BLOCK_KINDS:
+        models = fit_block(spec, [train for _, _, train, _ in prepared])
+    else:  # fitted as scored, so a block holds one model at a time
+        models = (fit(spec, train, validation, seed=stream_seed(rs, model_stream_id(kind)))
+                  for rs, _, train, validation in prepared)
+    records = []
+    for run_index, (rs, split, _, _), model in zip(runs, prepared, models):
+        scored = metrics.score(split.test_labels, model.predict(split.test_features))
+        records.append(RunRecord(
+            run_index=run_index,
+            model=kind,
+            seed=rs,
+            accuracy=scored.accuracy,
+            precision=scored.precision,
+            recall=scored.recall,
+            f1=scored.f1,
+            early_stopped=model.meta.early_stopped,
+            split_hash=_split_hash(split),
+            train_ms=model.meta.train_ms,
+        ))
+    return records
+
+
+def _block_size(runs: int, workers: int, shape) -> int:
+    """Runs per task: the runs spread evenly over the workers, and no more
+    than keep a block's stacked entries (runs x rows x columns of the data)
+    within one tree engine batch."""
+    rows, columns = shape
+    return max(1, min(-(-runs // workers), _LEVEL_ENTRIES // (rows * columns)))
 
 
 _WORKER_DATASET = None
@@ -324,8 +359,8 @@ def _worker_init(features, labels, source_name, model_params, base_seed):
 
 
 def _worker_task(task):
-    run_index, kind = task
-    return execute_task(_WORKER_DATASET, _WORKER_PARAMS, run_index, _WORKER_SEED, kind)
+    kind, runs = task
+    return execute_task(_WORKER_DATASET, _WORKER_PARAMS, runs, _WORKER_SEED, kind)
 
 
 def run_experiment(
@@ -337,7 +372,9 @@ def run_experiment(
     """Produce one RunRecord per (run, model), reusing rows from `existing`.
 
     The output ordering is (run_index, position of model in config.models)
-    regardless of worker count, which is what makes runs.csv reproducible.
+    regardless of block size and worker count, which is what makes runs.csv
+    reproducible. progress(done, total) follows the (run, model) pairs
+    computed.
     """
     if dataset is None:
         dataset = load_dataset(config.dataset)
@@ -353,7 +390,13 @@ def run_experiment(
         have = {(r.run_index, r.model): r for r in existing.records}
 
     keys = [(run_index, kind) for run_index in range(config.runs) for kind in config.models]
-    tasks = [key for key in keys if key not in have]
+    pending = {kind: [run_index for run_index in range(config.runs)
+                      if (run_index, kind) not in have] for kind in config.models}
+    size = _block_size(config.runs, config.workers, dataset.features.shape)
+    # the i-th block of every kind, then the (i+1)-th
+    tasks = [(kind, runs[first:first + size]) for first in range(0, config.runs, size)
+             for kind, runs in pending.items() if runs[first:first + size]]
+    total = sum(map(len, pending.values()))
     workers = min(config.workers, len(tasks))
     with contextlib.ExitStack() as stack:
         if workers > 1:
@@ -365,12 +408,12 @@ def run_experiment(
             ))
             results = pool.imap(_worker_task, tasks, chunksize=1)
         else:
-            results = (execute_task(dataset, config.model_params, run_index,
-                                    config.base_seed, kind) for run_index, kind in tasks)
-        for done, record in enumerate(results, 1):
+            results = (execute_task(dataset, config.model_params, runs,
+                                    config.base_seed, kind) for kind, runs in tasks)
+        for done, record in enumerate(itertools.chain.from_iterable(results), 1):
             have[(record.run_index, record.model)] = record
             if progress:
-                progress(done, len(tasks))
+                progress(done, total)
     return RunTable(records=tuple(have[key] for key in keys), config_fingerprint=fingerprint)
 
 
@@ -625,4 +668,4 @@ def dump_splits_csv(config: ExperimentConfig, dataset: LabeledDataset) -> str:
 
 def stderr_progress(done: int, total: int):
     if done == total or done % max(1, total // 20) == 0:
-        print(f"  {done}/{total} tasks", file=sys.stderr, flush=True)
+        print(f"  {done}/{total} fits", file=sys.stderr, flush=True)

@@ -3,7 +3,7 @@
 Kinds: logreg, svm, rf, gb, dnn. All predictors map a probability or score
 tie exactly at the decision boundary to the positive class. A kind's
 hyperparameters, with their defaults, are the keyword arguments of its
-trainer.
+trainer. gb can also train a block of runs in one stacked call (fit_block).
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DegenerateData, DimensionMismatch, UsageError
-from .boosting import train_gradient_boosting
+from .boosting import train_gradient_boosting, train_gradient_boosting_block
 from .dnn import train_dnn
 from .forest import train_random_forest
 from .logreg import train_logreg
@@ -30,6 +30,9 @@ _TRAINERS = {
     "dnn": train_dnn,
 }
 CANONICAL_KINDS = tuple(_TRAINERS)
+# Kinds whose trainer grows the models of a whole block of runs in one call.
+_BLOCK_TRAINERS = {"gb": train_gradient_boosting_block}
+BLOCK_KINDS = tuple(_BLOCK_TRAINERS)
 
 
 @dataclass(frozen=True)
@@ -120,3 +123,23 @@ def fit(spec: ClassifierSpec, train, validation=None, seed: int = 0):
     model = _TRAINERS[spec.kind](*args, **params)
     model.meta.train_ms = (time.perf_counter() - started) * 1000.0
     return model
+
+
+def fit_block(spec: ClassifierSpec, trains) -> list:
+    """Train one classifier per (features, labels) pair of a kind in
+    BLOCK_KINDS, in one stacked call; each model equals fit(spec, pair).
+
+    Every pair passes fit's checks, and all pairs must share one shape. Each
+    model's train_ms is an equal share of the call's time.
+    """
+    pairs = [_validate_train_input(*train) for train in trains]
+    shapes = {features.shape for features, _ in pairs}
+    if len(shapes) > 1:
+        raise DimensionMismatch(f"a block's training sets differ in shape: {sorted(shapes)}")
+    params = make_spec(spec.kind, spec.params if spec.params else None).params
+    started = time.perf_counter()
+    models = _BLOCK_TRAINERS[spec.kind](*(np.stack(part) for part in zip(*pairs)), **params)
+    share = (time.perf_counter() - started) * 1000.0 / len(models)
+    for model in models:
+        model.meta.train_ms = share
+    return models

@@ -8,6 +8,10 @@ root rows never change. Each leaf value is a one-step Newton update
 sum(residual) / sum(p*(1-p)) over the leaf's rows in row-index order.
 Scores advance by learning_rate times the leaf value. No subsampling
 anywhere, so training is deterministic without a seed.
+
+A block of runs with equal training shapes trains in one call: each stage
+grows every run's tree in one engine call on the stacked runs, and no sum
+crosses runs, so each run gets the bytes of its own fit.
 """
 from __future__ import annotations
 
@@ -53,12 +57,20 @@ def train_gradient_boosting(
     learning_rate: float = 0.1,
     max_depth: int = 3,
 ) -> BoostModel:
+    return train_gradient_boosting_block(np.asarray(features)[None], np.asarray(labels)[None],
+                                         n_estimators, learning_rate, max_depth)[0]
+
+
+def train_gradient_boosting_block(features, labels, n_estimators: int,
+                                  learning_rate: float, max_depth: int) -> list[BoostModel]:
+    """One BoostModel per run of a stack, (R, n, d) features and (R, n)
+    labels, each equal to the run's own fit: every stage grows the R runs'
+    trees in one engine call."""
     features = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    p = float(y.mean())
-    base = float(np.log(p / (1.0 - p)))  # both classes present per fit contract
-
-    n, d = features.shape
+    runs, n, d = features.shape
+    # both classes present per fit contract
+    base = [float(np.log(p / (1.0 - p))) for p in y.mean(axis=1).tolist()]
     order = presort(features)
 
     every_column = np.arange(d)[None]
@@ -66,29 +78,31 @@ def train_gradient_boosting(
     def columns(count):
         return every_column.repeat(count, axis=0)
 
-    scores = np.full(y.size, base)
-    trees = []
+    scores = np.array(base)[:, None].repeat(n, axis=1)
+    stages = []
     for _ in range(n_estimators):
         probs = sigmoid(scores)
         residuals = y - probs
-        (tree,), (leaf_of_row,) = grow(features, order, residuals, columns, _friedman_gain,
-                                       _MIN_IMPROVEMENT, max_depth=max_depth)
+        trees, leaf_of_row = grow(features, order, residuals, columns, _friedman_gain,
+                                  _MIN_IMPROVEMENT, max_depth=max_depth)
+        # the runs' nodes end to end: tree t's node k is node first[t] + k
+        first = np.cumsum([0] + [tree.value.size for tree in trees])
+        leaf = (leaf_of_row + first[:-1, None]).ravel()
         # node after node, each leaf's rows in row-index order (C order: pairwise sums)
-        rh = np.array((residuals, probs * (1.0 - probs))).take(leaf_of_row.argsort(kind="stable"),
-                                                              axis=1)
-        ends = np.bincount(leaf_of_row, minlength=tree.value.size).cumsum().tolist()
+        rh = np.array((residuals, probs * (1.0 - probs))).reshape(2, -1).take(
+            leaf.argsort(kind="stable"), axis=1)
+        ends = np.bincount(leaf, minlength=first[-1]).cumsum().tolist()
+        value = np.zeros(first[-1])
         for node, lo, hi in zip(range(len(ends)), [0] + ends, ends):
             if hi > lo:
                 r, h = rh[:, lo:hi].sum(axis=1).tolist()
-                tree.value[node] = 0.0 if h < _NEWTON_FLOOR else r / h
-        trees.append(tree)
+                value[node] = 0.0 if h < _NEWTON_FLOOR else r / h
+        for tree, lo, hi in zip(trees, first, first[1:]):
+            tree.value[:] = value[lo:hi]
+        stages.append(trees)
         # train rows take their leaf's Newton value without re-traversing
-        scores = scores + learning_rate * tree.value[leaf_of_row]
+        scores = scores + learning_rate * value[leaf].reshape(runs, n)
 
-    return BoostModel(
-        base_score=base,
-        trees=trees,
-        learning_rate=learning_rate,
-        n_features=d,
-        meta=TrainMeta(kind="gb"),
-    )
+    return [BoostModel(base_score=b, trees=list(run_trees), learning_rate=learning_rate,
+                       n_features=d, meta=TrainMeta(kind="gb"))
+            for b, run_trees in zip(base, zip(*stages))]

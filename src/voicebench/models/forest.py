@@ -65,9 +65,13 @@ def leaf_values(trees, features: np.ndarray) -> np.ndarray:
 
 def presort(features: np.ndarray):
     """(rows, vals), each (d, n): the rows of each column in increasing value
-    (ties in row order) and the values they hold there."""
-    rows = np.argsort(features.T, axis=1, kind="mergesort")
-    return rows, np.take_along_axis(features.T, rows, axis=1)
+    (ties in row order) and the values they hold there. A stack of R runs
+    (R, n, d) gives (d, R * n): run t's presort, its rows carrying ids t * n + i."""
+    n, d = features.shape[-2:]
+    columns = features.reshape(-1, n, d).transpose(2, 0, 1)  # (d, R, n)
+    rows = np.argsort(columns, axis=2, kind="mergesort")
+    vals = np.take_along_axis(columns, rows, axis=2).reshape(d, -1)
+    return (rows + n * np.arange(rows.shape[1])[:, None]).reshape(d, -1), vals
 
 
 def _segment_sums(values, first, size):
@@ -142,11 +146,17 @@ def grow(features, layout, targets, columns, gain, floor: float, weights=None,
     from a presort layout; returns (trees with leaf values 0, leaf_of_row:
     each row's leaf or -1). Nodes below max_depth whose targets differ are
     searched, with columns(count) giving their candidates in (tree,
-    breadth-first) order."""
+    breadth-first) order.
+
+    Without weights, features may be a stack of R runs (R, n, d) with its
+    presort and (R, n) targets: tree t then grows on run t alone, exactly as
+    it would on its own."""
     rows, vals = layout
-    d, n = rows.shape
+    n, d = features.shape[-2:]
+    features = features.reshape(-1, d)
     if weights is None:
-        size, node_of = np.array([n]), np.zeros(n, dtype=np.int64)
+        size = np.full(rows.shape[1] // n, n)
+        node_of, targets = np.arange(size.size).repeat(n), targets.reshape(-1)
     else:
         # tree t's copy of row i has id t * n + i; a forest batch's layout is
         # large, so its ids and positions take the smallest integer type
@@ -181,7 +191,7 @@ def grow(features, layout, targets, columns, gain, floor: float, weights=None,
         seg = np.arange(tree.size).repeat(size)
         keep = split[seg]
         s0, r0 = seg[keep], rows[0][keep]
-        child = kid[s0] + ~(features[r0 % n, feature[s0]] <= threshold[s0])
+        child = kid[s0] + ~(features[r0 % len(features), feature[s0]] <= threshold[s0])
         node_of[r0] = base + child
         if len(levels) != max_depth:
             # stable partition of every column by child; leaf rows sort last

@@ -12,6 +12,7 @@ from conftest import synth_voice, wav_bytes, write_pcm16_wav
 from voicebench.audio import (
     _BLOCK_ENTRIES,
     AudioClip,
+    _cached_kernel_block,
     _sinc_kernel,
     decode_wav,
     fix_duration,
@@ -340,6 +341,26 @@ class TestResampleMemory:
         finally:
             tracemalloc.stop()
         assert peak <= bound_mib * 2 ** 20
+
+
+class TestKernelCache:
+    """A rate pair's kernel blocks are built once and shared read-only by
+    later clips; a coprime pair's many blocks bypass the cache."""
+
+    def test_rate_pair_reuses_read_only_blocks(self):
+        _cached_kernel_block.cache_clear()
+        x = np.random.default_rng(9).normal(size=4410)
+        first = resample(AudioClip(x, 44100), 16000).samples
+        again = resample(AudioClip(x, 44100), 16000).samples
+        assert again.tobytes() == first.tobytes()
+        info = _cached_kernel_block.cache_info()
+        assert (info.misses, info.hits) == (1, 1)  # 160 phases: one block
+        assert not _cached_kernel_block(160, 441, 16000 / 44100, 0).flags.writeable
+
+    def test_coprime_pair_bypasses_cache(self):
+        _cached_kernel_block.cache_clear()
+        resample(AudioClip(np.ones(500), 44101), 16000)
+        assert _cached_kernel_block.cache_info().currsize == 0
 
 
 class TestFixDuration:

@@ -371,3 +371,24 @@ class TestBlasThreads:
         assert outputs[0][0].count(b"\n") == 3 + 4 * 5  # all five models ran
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
+
+
+class TestBenchTracer:
+    """The traced benchmark wraps harness functions by name (bench/tracer.py):
+    a rename there must fail here, not only in the benchmark."""
+
+    def test_traced_all_reproduces_untraced_runs(self, tabular_csv, tmp_path):
+        plain = tmp_path / "plain"
+        assert cli_main(["all", *_tab_args(tabular_csv, plain)]) == 0
+        traced = tmp_path / "traced"
+        spans = tmp_path / "spans.json"
+        tracer = Path(_SRC).parent / "bench" / "tracer.py"
+        _run_python([str(tracer), "--spans", str(spans),
+                     "--analysis-csv", str(plain / "runs.csv"),
+                     "--analysis-out", str(tmp_path / "analysis"), "--",
+                     "all", *_tab_args(tabular_csv, traced)], None)
+        assert (traced / "runs.csv").read_bytes() == (plain / "runs.csv").read_bytes()
+        recorded = json.loads(spans.read_text())
+        assert recorded["returncode"] == 0
+        names = {span["name"] for span in recorded["spans"]}
+        assert {"models.fit", "data.stratified_split", "data.oversample"} <= names

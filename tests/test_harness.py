@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from voicebench import harness
 from voicebench.data import LabeledDataset, stratified_split
 from voicebench.errors import TooFewModels, TooFewRuns, UsageError, VoicebenchError, WriteError
 from voicebench.harness import (
@@ -32,6 +33,7 @@ from voicebench.harness import (
     write_runs_csv,
 )
 from voicebench.jsonio import canonical_dumps, canonical_loads
+from voicebench.models.forest import _LEVEL_ENTRIES
 
 
 @pytest.fixture(scope="module")
@@ -135,29 +137,29 @@ class TestConfig:
 
 class TestExecuteTask:
     def test_pure_given_arguments(self, tab_dataset):
-        a = execute_task(tab_dataset, {}, 3, 42, "logreg")
-        b = execute_task(tab_dataset, {}, 3, 42, "logreg")
+        (a,) = execute_task(tab_dataset, {}, [3], 42, "logreg")
+        (b,) = execute_task(tab_dataset, {}, [3], 42, "logreg")
         # everything except the wall-clock timing must reproduce exactly
         strip = lambda r: {k: v for k, v in r.__dict__.items() if k != "train_ms"}
         assert strip(a) == strip(b)
 
     def test_split_hash_shared_across_models_within_run(self, tab_dataset):
-        a = execute_task(tab_dataset, {}, 2, 42, "logreg")
-        b = execute_task(tab_dataset, {}, 2, 42, "gb")
+        (a,) = execute_task(tab_dataset, {}, [2], 42, "logreg")
+        (b,) = execute_task(tab_dataset, {}, [2], 42, "gb")
         assert a.split_hash == b.split_hash
         assert a.seed == b.seed
 
     def test_split_hash_differs_across_runs(self, tab_dataset):
-        a = execute_task(tab_dataset, {}, 0, 42, "logreg")
-        b = execute_task(tab_dataset, {}, 1, 42, "logreg")
+        (a,) = execute_task(tab_dataset, {}, [0], 42, "logreg")
+        (b,) = execute_task(tab_dataset, {}, [1], 42, "logreg")
         assert a.split_hash != b.split_hash
 
     def test_model_params_reach_training(self, tab_dataset):
-        normal = execute_task(tab_dataset, {}, 0, 7, "logreg")
+        (normal,) = execute_task(tab_dataset, {}, [0], 7, "logreg")
         # a crushing penalty forces near-zero weights, so every test row
         # lands on the same side; the scores must reflect that
-        crushed = execute_task(
-            tab_dataset, {"logreg": {"c": 1e-8}}, 0, 7, "logreg"
+        (crushed,) = execute_task(
+            tab_dataset, {"logreg": {"c": 1e-8}}, [0], 7, "logreg"
         )
         assert crushed.recall in (0.0, 1.0)
         assert crushed.accuracy != normal.accuracy
@@ -199,6 +201,24 @@ class TestRunExperiment:
         assert runs_csv_text(serial) == runs_csv_text(parallel)
         # once per task on each path, in order
         assert calls == 2 * [(done, 10) for done in range(1, 11)]
+
+    def test_block_size_does_not_change_output(self, tab_config, tab_dataset, monkeypatch):
+        config = dataclasses.replace(tab_config, models=CANONICAL_KINDS)
+        texts = set()
+        for workers in (1, 2):
+            for size in (1, 2, 5):
+                monkeypatch.setattr(harness, "_block_size", lambda *args, size=size: size)
+                table = run_experiment(dataclasses.replace(config, workers=workers),
+                                       dataset=tab_dataset)
+                texts.add(runs_csv_text(table))
+        assert len(texts) == 1
+
+    def test_block_size_spreads_runs_within_an_engine_batch(self):
+        assert harness._block_size(5, 1, (12, 13)) == 5
+        assert harness._block_size(5, 2, (195, 22)) == 3
+        assert harness._block_size(3, 8, (60, 22)) == 1
+        assert harness._block_size(1000, 2, (195, 22)) == _LEVEL_ENTRIES // (195 * 22) > 1
+        assert harness._block_size(10, 1, (2000, 50)) == 1
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_resume_completes_missing_pairs(self, tab_config, tab_dataset, workers):

@@ -17,6 +17,7 @@ from voicebench.models import (
     ClassifierSpec,
     default_params,
     fit,
+    fit_block,
     make_spec,
 )
 from voicebench.models import forest, svm
@@ -663,6 +664,77 @@ class TestBoostingEngine:
         monkeypatch.setattr(forest, "best_splits", spy)
         train_gradient_boosting(x, y, n_estimators=20, max_depth=3)
         assert 20 <= len(calls) <= 3 * 20
+
+
+class TestBoostingBlock:
+    """One stacked call gives each run of a block the bytes of its own fit:
+    every tree's arrays and the base score."""
+
+    @staticmethod
+    def _bytes(model):
+        return model.base_score.hex(), [_tree_digest([tree]) for tree in model.trees]
+
+    def _assert_runs_match(self, block, params=None):
+        spec = ClassifierSpec("gb", params or {})
+        models = fit_block(spec, block)
+        assert len(models) == len(block)
+        for model, train in zip(models, block):
+            assert self._bytes(model) == self._bytes(fit(spec, train))
+        return models
+
+    @staticmethod
+    def _block(seed, runs, n=40, d=4):
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.normal(size=(runs, n, d)), 2)
+        y = rng.integers(0, 2, size=(runs, n))
+        y[:, :2] = (0, 1)
+        return x, y
+
+    def test_runs_closing_at_different_depths(self):
+        x, y = self._block(71, 3)
+        y[0] = x[0, :, 0] > 0  # one split separates run 0: its leaves close at depth 1
+        models = self._assert_runs_match([(x[t], y[t]) for t in range(3)])
+        assert _depth(models[0].trees[0]) == 1 < _depth(models[1].trees[0])
+
+    def test_tied_and_constant_columns(self):
+        x, y = self._block(72, 4)
+        x[:, :, 1] = np.round(x[:, :, 1])
+        x[:, :, 2] = 1.0
+        x[2, :, 3] = x[2, 0, 3]  # constant in one run only
+        self._assert_runs_match([(x[t], y[t]) for t in range(4)])
+
+    def test_hyperparameter_override(self):
+        x, y = self._block(73, 3, n=30)
+        models = self._assert_runs_match([(x[t], y[t]) for t in range(3)],
+                                         {"n_estimators": 7, "max_depth": 5})
+        assert all(len(model.trees) == 7 for model in models)
+        assert max(_depth(tree) for model in models for tree in model.trees) > 3
+
+    def test_block_of_one(self):
+        x, y = make_blobs(seed=74, n=60, d=5, sep=0.4, std=1.3)
+        (model,) = self._assert_runs_match([(x, y)])
+        assert model.meta.kind == "gb" and model.meta.train_ms > 0.0
+
+    def test_runs_share_the_call_time(self):
+        x, y = self._block(75, 3)
+        models = fit_block(ClassifierSpec("gb", {"n_estimators": 3}),
+                           [(x[t], y[t]) for t in range(3)])
+        assert len({model.meta.train_ms for model in models}) == 1
+
+    def test_unequal_shapes_refused(self):
+        x, y = self._block(76, 2)
+        spec = ClassifierSpec("gb")
+        with pytest.raises(DimensionMismatch):
+            fit_block(spec, [(x[0], y[0]), (x[1, :-2], y[1, :-2])])
+        with pytest.raises(DimensionMismatch):
+            fit_block(spec, [(x[0], y[0]), (x[1, :, :-1], y[1])])
+
+    def test_each_run_passes_the_fit_checks(self):
+        x, y = self._block(77, 2)
+        with pytest.raises(DegenerateData):
+            fit_block(ClassifierSpec("gb"), [(x[0], y[0]), (x[1], np.zeros(40, dtype=int))])
+        with pytest.raises(UsageError):
+            fit_block(ClassifierSpec("gb", {"max_depth": 0}), [(x[0], y[0])])
 
 
 def _reference_boost_tree(features, targets, max_depth=None):
