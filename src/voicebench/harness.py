@@ -2,12 +2,12 @@
 
 A task is one model kind on a block of runs. For each run it re-derives
 the split and oversampling from the run's seeds, trains the model, and
-scores the held out test rows; gb trains the whole block in one stacked
-call, which gives each run the model it would get alone. Within a run all
-models therefore see byte-identical data, and results do not depend on
-block size, worker count or completion order. Wall-clock timings are kept
-out of runs.csv (they would break reproducible bytes) and go to a sidecar
-file instead.
+scores the held out test rows; gb and dnn train the whole block in one
+stacked call, which gives each run the model it would get alone. Within a
+run all models therefore see byte-identical data, and results do not
+depend on block size, worker count or completion order. Wall-clock timings
+are kept out of runs.csv (they would break reproducible bytes) and go to a
+sidecar file instead.
 
 Seed derivation, fixed forever:
     run_seed   = (base_seed & 0xFFFFFFFFFFFFFFFF) XOR run_index
@@ -22,7 +22,6 @@ import csv
 import dataclasses
 import hashlib
 import itertools
-import multiprocessing
 import numbers
 import os
 import sys
@@ -313,15 +312,16 @@ def execute_task(
     """Train and score one model kind on each run of a block, in run order;
     pure given its arguments, and a run's record does not depend on the
     block it comes in."""
-    prepared = [_run_sets(dataset, base_seed, run_index) for run_index in runs]
+    run_seeds, splits, trains, validations = zip(
+        *(_run_sets(dataset, base_seed, run_index) for run_index in runs))
     spec = ClassifierSpec(kind, dict(model_params.get(kind, {})))
-    if kind in BLOCK_KINDS:
-        models = fit_block(spec, [train for _, _, train, _ in prepared])
+    seeds = [stream_seed(rs, model_stream_id(kind)) for rs in run_seeds]
+    if kind in BLOCK_KINDS:  # gb and dnn: every run's model in one stacked call
+        models = fit_block(spec, trains, validations, seeds)
     else:  # fitted as scored, so a block holds one model at a time
-        models = (fit(spec, train, validation, seed=stream_seed(rs, model_stream_id(kind)))
-                  for rs, _, train, validation in prepared)
+        models = map(fit, itertools.repeat(spec), trains, validations, seeds)
     records = []
-    for run_index, (rs, split, _, _), model in zip(runs, prepared, models):
+    for run_index, rs, split, model in zip(runs, run_seeds, splits, models):
         scored = metrics.score(split.test_labels, model.predict(split.test_features))
         records.append(RunRecord(
             run_index=run_index,
@@ -400,6 +400,8 @@ def run_experiment(
     workers = min(config.workers, len(tasks))
     with contextlib.ExitStack() as stack:
         if workers > 1:
+            import multiprocessing  # only here: every other command starts faster
+
             pool = stack.enter_context(multiprocessing.get_context().Pool(
                 processes=workers,
                 initializer=_worker_init,

@@ -3,7 +3,8 @@
 Kinds: logreg, svm, rf, gb, dnn. All predictors map a probability or score
 tie exactly at the decision boundary to the positive class. A kind's
 hyperparameters, with their defaults, are the keyword arguments of its
-trainer. gb can also train a block of runs in one stacked call (fit_block).
+trainer. gb and dnn can also train a block of runs in one stacked call
+(fit_block).
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from ..errors import DegenerateData, DimensionMismatch, UsageError
 from .boosting import train_gradient_boosting, train_gradient_boosting_block
-from .dnn import train_dnn
+from .dnn import train_dnn, train_dnn_block
 from .forest import train_random_forest
 from .logreg import train_logreg
 from .svm import train_svm_smo
@@ -31,7 +32,7 @@ _TRAINERS = {
 }
 CANONICAL_KINDS = tuple(_TRAINERS)
 # Kinds whose trainer grows the models of a whole block of runs in one call.
-_BLOCK_TRAINERS = {"gb": train_gradient_boosting_block}
+_BLOCK_TRAINERS = {"gb": train_gradient_boosting_block, "dnn": train_dnn_block}
 BLOCK_KINDS = tuple(_BLOCK_TRAINERS)
 
 
@@ -98,6 +99,21 @@ def _validate_train_input(features: np.ndarray, labels: np.ndarray):
     return features, labels
 
 
+def _trainer_args(kind: str, train, validation) -> tuple:
+    """The checked data arguments of kind's trainer: the training pair, and
+    for dnn the validation pair too."""
+    features, labels = _validate_train_input(*train)
+    if kind != "dnn":
+        return features, labels
+    if validation is None:
+        raise UsageError("dnn training requires a validation pair")
+    val_features = np.asarray(validation[0], dtype=np.float64)
+    val_labels = np.asarray(validation[1], dtype=np.int64)
+    if val_features.ndim != 2 or val_features.shape[1] != features.shape[1]:
+        raise DimensionMismatch("validation feature width differs from train")
+    return features, labels, val_features, val_labels
+
+
 def fit(spec: ClassifierSpec, train, validation=None, seed: int = 0):
     """Train one classifier. train/validation are (features, labels) pairs.
 
@@ -105,17 +121,8 @@ def fit(spec: ClassifierSpec, train, validation=None, seed: int = 0):
     seed. Only the DNN consumes the validation pair (early stopping); it is
     accepted for every kind so callers stay uniform.
     """
-    features, labels = _validate_train_input(*train)
+    args = _trainer_args(spec.kind, train, validation)
     params = make_spec(spec.kind, spec.params if spec.params else None).params
-    args = (features, labels)
-    if spec.kind == "dnn":
-        if validation is None:
-            raise UsageError("dnn training requires a validation pair")
-        val_features = np.asarray(validation[0], dtype=np.float64)
-        val_labels = np.asarray(validation[1], dtype=np.int64)
-        if val_features.ndim != 2 or val_features.shape[1] != features.shape[1]:
-            raise DimensionMismatch("validation feature width differs from train")
-        args += (val_features, val_labels)
     if spec.kind in ("rf", "dnn"):
         params["seed"] = seed
 
@@ -125,20 +132,29 @@ def fit(spec: ClassifierSpec, train, validation=None, seed: int = 0):
     return model
 
 
-def fit_block(spec: ClassifierSpec, trains) -> list:
-    """Train one classifier per (features, labels) pair of a kind in
-    BLOCK_KINDS, in one stacked call; each model equals fit(spec, pair).
+def fit_block(spec: ClassifierSpec, trains, validations=None, seeds=None) -> list:
+    """Train one classifier per run of a kind in BLOCK_KINDS, in one stacked
+    call; run t's model equals fit(spec, trains[t], validations[t], seeds[t]).
 
-    Every pair passes fit's checks, and all pairs must share one shape. Each
-    model's train_ms is an equal share of the call's time.
+    Every run passes fit's checks, and all runs' sets must share their
+    shapes. seeds default to fit's 0. Each model's train_ms is an equal share
+    of the call's time.
     """
-    pairs = [_validate_train_input(*train) for train in trains]
-    shapes = {features.shape for features, _ in pairs}
+    runs = len(trains)
+    validations = [None] * runs if validations is None else list(validations)
+    seeds = [0] * runs if seeds is None else list(seeds)
+    if not len(validations) == len(seeds) == runs:
+        raise UsageError(f"a block of {runs} runs needs {runs} validation pairs and seeds")
+    stacks = [_trainer_args(spec.kind, train, validation)
+              for train, validation in zip(trains, validations)]
+    shapes = {tuple(part.shape for part in args) for args in stacks}
     if len(shapes) > 1:
         raise DimensionMismatch(f"a block's training sets differ in shape: {sorted(shapes)}")
     params = make_spec(spec.kind, spec.params if spec.params else None).params
+    if spec.kind == "dnn":
+        params["seeds"] = seeds
     started = time.perf_counter()
-    models = _BLOCK_TRAINERS[spec.kind](*(np.stack(part) for part in zip(*pairs)), **params)
+    models = _BLOCK_TRAINERS[spec.kind](*(np.stack(part) for part in zip(*stacks)), **params)
     share = (time.perf_counter() - started) * 1000.0 / len(models)
     for model in models:
         model.meta.train_ms = share

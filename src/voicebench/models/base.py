@@ -41,7 +41,8 @@ def softplus(t: np.ndarray) -> np.ndarray:
     return np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
 
 
-def binomial_deviance(labels: np.ndarray, logits: np.ndarray) -> float:
+def binomial_deviance(labels: np.ndarray, logits: np.ndarray):
     """Mean negative log-likelihood (binary cross-entropy) of 0/1 labels
-    under logit scores."""
-    return float(np.mean(softplus(logits) - labels * logits))
+    under logit scores, over the last axis: a scalar for one series, one
+    value per row for a stack of them."""
+    return np.mean(softplus(logits) - labels * logits, axis=-1)

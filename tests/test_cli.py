@@ -343,6 +343,13 @@ def _run_python(args, threads, timeout=300):
     return proc
 
 
+class TestImportCost:
+    def test_cli_import_leaves_out_multiprocessing(self):
+        # only a --workers > 1 run starts a pool and pays for the import
+        code = "import sys, voicebench.cli\nprint('multiprocessing' in sys.modules)\n"
+        assert _run_python(["-c", code], None).stdout.split() == ["False"]
+
+
 class TestBlasThreads:
     """Importing voicebench before numpy pins OpenBLAS to one thread, so
     the CLI's bytes cannot depend on the caller's thread setting."""

@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import make_blobs
+from voicebench.errors import DimensionMismatch, UsageError
+from voicebench.models import ClassifierSpec, fit, fit_block, make_spec
+from voicebench.models import dnn
 from voicebench.models.base import binomial_deviance
 from voicebench.models.dnn import (
     DnnModel,
+    _batch_masks,
     backprop,
     forward_logits,
     init_params,
@@ -223,6 +229,153 @@ class TestReferenceBits:
         x, y = make_blobs(seed=326, n=178, d=22, sep=0.5, std=1.2)
         xv, yv = make_blobs(seed=327, n=30, d=22, sep=0.5, std=1.2)
         self._check(x, y, xv, yv, seed=14)
+
+
+class TestBlock:
+    """One stacked call gives each run of a block the bytes of its own fit
+    and of _reference_train_dnn: every parameter, the validation losses and
+    the stopping fields."""
+
+    @staticmethod
+    def _block(seed, runs, n=24, nv=10, d=5):
+        trains = [make_blobs(seed=seed + 2 * t, n=n, d=d, sep=0.5, std=1.4) for t in range(runs)]
+        validations = [make_blobs(seed=seed + 2 * t + 1, n=nv, d=d, sep=0.5, std=1.4)
+                       for t in range(runs)]
+        return trains, validations, [1000 + seed + t for t in range(runs)]
+
+    @staticmethod
+    def _digest(model):
+        return (_param_bytes(model.params), model.val_loss_history, model.best_val_loss,
+                model.meta.epochs_run, model.meta.best_epoch, model.meta.early_stopped)
+
+    def _assert_runs_match(self, trains, validations, seeds, params=None):
+        spec = ClassifierSpec("dnn", params or {})
+        models = fit_block(spec, trains, validations, seeds)
+        assert len(models) == len(trains)
+        full = make_spec("dnn", params).params
+        for model, train, validation, seed in zip(models, trains, validations, seeds):
+            assert self._digest(model) == self._digest(fit(spec, train, validation, seed))
+            best, history, best_epoch, epochs_run, early_stopped = _reference_train_dnn(
+                *train, *validation, seed=seed, **full)
+            assert self._digest(model) == (_param_bytes(best), history, history[best_epoch],
+                                           epochs_run, best_epoch, early_stopped)
+        return models
+
+    def test_default_parameters(self):
+        models = self._assert_runs_match(*self._block(400, 4))
+        assert len({model.meta.epochs_run for model in models}) > 1  # runs leave at different epochs
+
+    @pytest.mark.parametrize("params", [
+        {"dropout": 0.0},
+        {"hidden": [16]},
+        {"hidden": [32, 16, 8]},
+        {"batch_size": 7, "patience": 3},  # 24 % 7 = 3: a short last batch
+        {"epochs": 5},
+        {"batch_size": 500},
+        {"patience": 1},
+    ])
+    def test_overrides(self, params):
+        self._assert_runs_match(*self._block(410, 3), params)
+
+    def test_runs_stopping_in_one_epoch(self):
+        trains, validations, seeds = self._block(428, 5)
+        # a copy of run 0 stops with it, in the same epoch
+        trains.append(trains[0])
+        validations.append(validations[0])
+        seeds.append(seeds[0])
+        models = self._assert_runs_match(trains, validations, seeds, {"patience": 2})
+        stops = [model.meta.epochs_run for model in models]
+        assert all(model.meta.early_stopped for model in models)
+        assert max(stops) < 100
+        assert len(set(stops)) < len(stops) - 1  # besides the copy, two runs stop together
+
+    def test_block_of_one(self):
+        (model,) = self._assert_runs_match(*self._block(430, 1))
+        assert model.meta.kind == "dnn" and model.meta.train_ms > 0.0
+
+    def test_block_longer_than_one_stack(self, monkeypatch):
+        stacks = []
+        train_stack = dnn._train_stack
+
+        def spy(*args):
+            stacks.append(len(args[4]))
+            return train_stack(*args)
+
+        monkeypatch.setattr(dnn, "_train_stack", spy)
+        # at the default sizes a stack holds 40000 // 3585 = 11 runs of 22 columns
+        trains, validations, seeds = self._block(440, 12, n=20, nv=6, d=22)
+        self._assert_runs_match(trains, validations, seeds, {"epochs": 3})
+        assert stacks[:2] == [11, 1]  # then one stack per run's own fit
+        stacks.clear()
+        monkeypatch.setattr(dnn, "_LEVEL_ENTRIES", 2 * n_parameters((5, 64, 32, 1)))
+        self._assert_runs_match(*self._block(450, 5), {"patience": 4})
+        assert stacks[:3] == [2, 2, 1]
+
+    def test_unequal_shapes_refused(self):
+        trains, validations, seeds = self._block(460, 2)
+        spec = ClassifierSpec("dnn")
+        x, y = trains[1]
+        with pytest.raises(DimensionMismatch):
+            fit_block(spec, [trains[0], (x[:-2], y[:-2])], validations, seeds)
+        xv, yv = validations[1]
+        with pytest.raises(DimensionMismatch):
+            fit_block(spec, trains, [validations[0], (xv[:-2], yv[:-2])], seeds)
+        with pytest.raises(DimensionMismatch):
+            fit_block(spec, trains, [validations[0], (xv[:, :-1], yv)], seeds)
+
+    def test_block_without_validations_refused(self):
+        trains, _, seeds = self._block(470, 2)
+        with pytest.raises(UsageError):
+            fit_block(ClassifierSpec("dnn"), trains, seeds=seeds)
+
+    def test_block_memory_is_bounded(self):
+        """Runs train in stacks of at most 13 runs at 13 columns, so 40 runs
+        hold one stack's state plus each finished run's best parameters."""
+        trains, validations, seeds = self._block(480, 40, n=12, nv=4, d=13)
+        spec = ClassifierSpec("dnn")
+        # first calls import lazily (np.unique loads numpy.ma); not the trainer's memory
+        fit_block(spec, trains[:1], validations[:1], seeds[:1])
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fit_block(spec, trains, validations, seeds)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
+
+
+class TestDrawPremise:
+    """The stacked trainer draws each run's dropout masks for a whole epoch
+    in one call. That equals the per-batch draws only while numpy's Generator
+    hands out doubles as one stream; if a numpy release breaks that, these
+    fail before any model changes silently."""
+
+    @pytest.mark.parametrize("seed,a,b", [(0, 5, 7), (3, 1, 1), (9, 640, 2048), (11, 3, 0)])
+    def test_random_splits_into_consecutive_calls(self, seed, a, b):
+        rng = np.random.default_rng(seed)
+        parts = np.concatenate([rng.random(a), rng.random(b)])
+        assert np.random.default_rng(seed).random(a + b).tobytes() == parts.tobytes()
+
+    def test_epoch_masks_equal_batch_draws(self):
+        n, batch, hidden, keep = 50, 16, (7, 5, 3), 0.7
+        assert n % batch != 0  # a short last batch
+        per_batch, per_epoch = np.random.default_rng(21), np.random.default_rng(21)
+        for _ in range(3):  # epochs: a permutation, then the masks
+            assert per_batch.permutation(n).tobytes() == per_epoch.permutation(n).tobytes()
+            masks_of_epoch = (per_epoch.random(n * sum(hidden)) < keep) / keep
+            for start in range(0, n, batch):
+                rows = min(batch, n - start)
+                expected = [(per_batch.random((rows, width)) < keep) / keep for width in hidden]
+                got = _batch_masks(masks_of_epoch, start, rows, hidden)
+                assert [m.shape for m in got] == [(rows, width) for width in hidden]
+                assert [m.tobytes() for m in got] == [m.tobytes() for m in expected]
+                stacked = _batch_masks(masks_of_epoch[None], start, rows, hidden)
+                assert [m.tobytes() for m in stacked] == [m.tobytes() for m in expected]
 
 
 def _param_bytes(params) -> bytes:

@@ -33,6 +33,7 @@ from voicebench.harness import (
     write_runs_csv,
 )
 from voicebench.jsonio import canonical_dumps, canonical_loads
+from voicebench.models import fit_block
 from voicebench.models.forest import _LEVEL_ENTRIES
 
 
@@ -163,6 +164,25 @@ class TestExecuteTask:
         )
         assert crushed.recall in (0.0, 1.0)
         assert crushed.accuracy != normal.accuracy
+
+    @pytest.mark.parametrize("kind", ["gb", "dnn"])
+    def test_block_kinds_train_in_one_call(self, tab_dataset, monkeypatch, kind):
+        calls = []
+
+        def spy(spec, trains, validations, seeds):
+            calls.append(len(trains))
+            return fit_block(spec, trains, validations, seeds)
+
+        monkeypatch.setattr(harness, "fit_block", spy)
+        monkeypatch.setattr(harness, "fit", None)  # no run fits alone
+        params = {"dnn": {"epochs": 3}, "gb": {"n_estimators": 3}}
+        block = execute_task(tab_dataset, params, [4, 5, 6], 42, kind)
+        assert calls == [3]
+        monkeypatch.undo()
+        alone = [record for run in (4, 5, 6)
+                 for record in execute_task(tab_dataset, params, [run], 42, kind)]
+        strip = lambda r: {k: v for k, v in r.__dict__.items() if k != "train_ms"}
+        assert [strip(r) for r in block] == [strip(r) for r in alone]
 
 
 class TestRunExperiment:
