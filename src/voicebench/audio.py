@@ -156,23 +156,29 @@ def _kernel_block(up: int, down: int, cutoff: float, start: int) -> np.ndarray:
 _cached_kernel_block = functools.lru_cache(maxsize=_CACHED_BLOCKS)(_kernel_block)
 
 
-def resample(clip: AudioClip, target_rate: int) -> AudioClip:
+def resample(clip: AudioClip, target_rate: int, limit: int | None = None) -> AudioClip:
     """Resample with a polyphase Kaiser-windowed sinc interpolator.
 
-    Output length is round(n * target / source) (half-up). When
-    downsampling, the kernel cutoff shrinks to the output Nyquist so the
-    result stays free of aliased energy. Signal outside the clip is treated
-    as zero, so a few edge samples taper toward zero. Each phase is one FIR
-    filter run over strided views of the input, so no tap window is copied.
+    Output length is round(n * target / source) (half-up), or limit if that
+    is smaller: the first limit outputs, with the same bytes, and the rest
+    never computed. When downsampling, the kernel cutoff shrinks to the
+    output Nyquist so the result stays free of aliased energy. Signal
+    outside the clip is treated as zero, so a few edge samples taper toward
+    zero. Each phase is one FIR filter run over strided views of the input,
+    so no tap window is copied.
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be positive, got {limit}")
     if target_rate == clip.sample_rate:
-        return AudioClip(clip.samples.copy(), clip.sample_rate)
+        return AudioClip(clip.samples[:limit].copy(), clip.sample_rate)
 
     source_rate = clip.sample_rate
     n_out = (2 * clip.samples.size * target_rate + source_rate) // (2 * source_rate)
     n_out = max(int(n_out), 1)
+    if limit is not None:
+        n_out = min(n_out, limit)
 
     cutoff = min(1.0, target_rate / source_rate)
     half_width = _ZERO_CROSSINGS / cutoff

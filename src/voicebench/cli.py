@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage problems, 2 data or I/O problems.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -30,6 +31,11 @@ from .harness import (
 from .jsonio import format_float
 from .mfcc import N_MFCC
 from .models import CANONICAL_KINDS
+
+# Everything imported so far lives as long as the process: keep it out of
+# every later collection and out of the pass at exit. Once per import, since
+# tests call cli_main many times in one process.
+gc.freeze()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -51,7 +51,7 @@ class LabeledDataset:
             raise EmptyDataset(f"{self.source_name}: no rows")
         if not np.all(np.isin(labels, (0, 1))):
             raise InvalidLabel(f"{self.source_name}: labels must be 0 or 1")
-        if np.unique(labels).size < 2:
+        if labels.min() == labels.max():
             raise SingleClass(f"{self.source_name}: only one class present")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
@@ -59,7 +59,8 @@ class LabeledDataset:
 
 def clip_to_features(clip: audio.AudioClip) -> np.ndarray:
     """Normalize rate and duration, then summarize as one MFCC mean vector."""
-    clip = audio.resample(clip, mfcc.SAMPLE_RATE)
+    # samples past the kept duration would only be cut off
+    clip = audio.resample(clip, mfcc.SAMPLE_RATE, round(mfcc.DURATION_S * mfcc.SAMPLE_RATE))
     clip = audio.fix_duration(clip, mfcc.DURATION_S)
     return mfcc.temporal_mean(mfcc.mfcc(clip))
 

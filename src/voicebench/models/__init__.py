@@ -92,7 +92,7 @@ def _validate_train_input(features: np.ndarray, labels: np.ndarray):
         )
     if features.shape[0] == 0:
         raise DegenerateData("no training rows")
-    if np.unique(labels).size < 2:
+    if labels.min() == labels.max():
         raise DegenerateData("training labels contain a single class")
     if np.all(features == features[0]):
         raise DegenerateData("every training row is identical; nothing to separate")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .base import TrainMeta, check_predict_input, sigmoid
-from .forest import grow, leaf_values, presort
+from .forest import Nodes, Tree, grow, join, leaf_values, presort
 
 _MIN_IMPROVEMENT = 1e-12
 _NEWTON_FLOOR = 1e-150
@@ -34,15 +34,19 @@ def _friedman_gain(left_sum, right_sum, n_left, n_right):
 @dataclass
 class BoostModel:
     base_score: float
-    trees: list
+    nodes: Nodes
     learning_rate: float
     n_features: int
     meta: TrainMeta = field(default=None)
 
+    @property
+    def trees(self) -> list[Tree]:
+        return self.nodes.trees
+
     def raw_scores(self, features: np.ndarray) -> np.ndarray:
         features = check_predict_input(features, self.n_features)
         scores = np.full(features.shape[0], self.base_score)
-        for values in leaf_values(self.trees, features):  # in tree order
+        for values in leaf_values(self.nodes, features):  # in tree order
             scores += self.learning_rate * values
         return scores
 
@@ -83,26 +87,24 @@ def train_gradient_boosting_block(features, labels, n_estimators: int,
     for _ in range(n_estimators):
         probs = sigmoid(scores)
         residuals = y - probs
-        trees, leaf_of_row = grow(features, order, residuals, columns, _friedman_gain,
+        nodes, leaf_of_row = grow(features, order, residuals, columns, _friedman_gain,
                                   _MIN_IMPROVEMENT, max_depth=max_depth)
-        # the runs' nodes end to end: tree t's node k is node first[t] + k
-        first = np.cumsum([0] + [tree.value.size for tree in trees])
-        leaf = (leaf_of_row + first[:-1, None]).ravel()
         # node after node, each leaf's rows in row-index order (C order: pairwise sums)
+        leaf = leaf_of_row.ravel()
         rh = np.array((residuals, probs * (1.0 - probs))).reshape(2, -1).take(
             leaf.argsort(kind="stable"), axis=1)
-        ends = np.bincount(leaf, minlength=first[-1]).cumsum().tolist()
-        value = np.zeros(first[-1])
+        ends = np.bincount(leaf, minlength=nodes.value.size).cumsum().tolist()
+        value = nodes.value
         for node, lo, hi in zip(range(len(ends)), [0] + ends, ends):
             if hi > lo:
                 r, h = rh[:, lo:hi].sum(axis=1).tolist()
                 value[node] = 0.0 if h < _NEWTON_FLOOR else r / h
-        for tree, lo, hi in zip(trees, first, first[1:]):
-            tree.value[:] = value[lo:hi]
-        stages.append(trees)
+        stages.append(nodes)
         # train rows take their leaf's Newton value without re-traversing
         scores = scores + learning_rate * value[leaf].reshape(runs, n)
 
-    return [BoostModel(base_score=b, trees=list(run_trees), learning_rate=learning_rate,
+    # stage after stage, run after run within a stage -> run after run
+    by_run = np.arange(n_estimators * runs).reshape(n_estimators, runs).T.ravel()
+    return [BoostModel(base_score=b, nodes=nodes, learning_rate=learning_rate,
                        n_features=d, meta=TrainMeta(kind="gb"))
-            for b, run_trees in zip(base, zip(*stages))]
+            for b, nodes in zip(base, join(stages, by_run).cut(runs))]

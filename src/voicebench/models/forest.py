@@ -16,6 +16,11 @@ breadth-first) order, and a node's first ceil(sqrt(d)) are its candidates.
 Minimal weighted Gini impurity wins, ties going to the first candidate,
 then the first boundary; a node stays a leaf once it is pure or no
 candidate separates its rows.
+
+Fitted trees stay flat (Nodes): one set of node arrays with every tree in
+preorder, trees end to end. grow numbers a batch's nodes in preorder level
+by level, and leaf_values walks every tree at once, so neither the engine
+nor prediction takes a Python step per tree or per node.
 """
 from __future__ import annotations
 
@@ -35,7 +40,8 @@ _LEVEL_ENTRIES = 40_000
 
 @dataclass
 class Tree:
-    """Flat array form; feature == -1 marks a leaf and value holds its vote."""
+    """One tree's node arrays in preorder; feature == -1 marks a leaf and
+    value holds its vote or score."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -44,23 +50,68 @@ class Tree:
     value: np.ndarray
 
 
-def leaf_values(trees, features: np.ndarray) -> np.ndarray:
+_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+
+@dataclass
+class Nodes:
+    """Trees end to end, each in preorder: tree t holds nodes bounds[t] to
+    bounds[t + 1], and its child links count from its own first node, so a
+    slice of it is that tree's Tree."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    bounds: np.ndarray
+
+    @property
+    def trees(self) -> list[Tree]:
+        """Per-tree views of the arrays, for inspection."""
+        edges = self.bounds.tolist()
+        return [Tree(*(getattr(self, name)[lo:hi] for name in _ARRAYS))
+                for lo, hi in zip(edges, edges[1:])]
+
+    def cut(self, count: int) -> list[Nodes]:
+        """count Nodes of equal tree counts, in order, viewing these arrays."""
+        step = (self.bounds.size - 1) // count
+        out = []
+        for first in range(0, self.bounds.size - 1, step):
+            lo, hi = self.bounds[first], self.bounds[first + step]
+            out.append(Nodes(*(getattr(self, name)[lo:hi] for name in _ARRAYS),
+                             self.bounds[first:first + step + 1] - lo))
+        return out
+
+
+def join(parts, order=None) -> Nodes:
+    """The trees of parts end to end, or the order-th of them (indices into
+    that sequence) in turn."""
+    arrays = [np.concatenate([getattr(part, name) for part in parts]) for name in _ARRAYS]
+    size = np.concatenate([np.diff(part.bounds) for part in parts])
+    if order is not None:
+        first, size = (size.cumsum() - size)[order], size[order]
+        # each node moves by its tree's shift from its first node there to here
+        at = np.arange(size.sum()) + np.repeat(first - (size.cumsum() - size), size)
+        arrays = [a[at] for a in arrays]
+    return Nodes(*arrays, np.concatenate([[0], size.cumsum()]))
+
+
+def leaf_values(nodes: Nodes, features: np.ndarray) -> np.ndarray:
     """(trees, rows) value of the leaf each row reaches in each tree; all
     trees walk at once, one depth level per step. x <= threshold goes left."""
-    if not trees:
-        return np.zeros((0, features.shape[0]))
-    base = np.cumsum([0] + [tree.feature.size for tree in trees[:-1]])
-    feature, threshold, value, left, right = (
-        np.concatenate([getattr(tree, name) + (b if name in ("left", "right") else 0)
-                        for tree, b in zip(trees, base)])
-        for name in ("feature", "threshold", "value", "left", "right"))
-    leaf = feature == _LEAF
-    left[leaf] = right[leaf] = np.flatnonzero(leaf)  # a row at a leaf stays there
-    node = np.repeat(base[:, None], features.shape[0], axis=1)
+    first = nodes.bounds[:-1]
+    leaf = nodes.feature == _LEAF
+    offset = np.repeat(first, np.diff(nodes.bounds))
+    # a row at a leaf stays there
+    left, right = (np.where(leaf, np.arange(leaf.size), links + offset)
+                   for links in (nodes.left, nodes.right))
+    rows = np.arange(features.shape[0])
+    node = np.repeat(first[:, None], rows.size, axis=1)
     while not leaf[node].all():
-        go_left = features[np.arange(features.shape[0]), feature[node]] <= threshold[node]
+        go_left = features[rows, nodes.feature[node]] <= nodes.threshold[node]
         node = np.where(go_left, left[node], right[node])
-    return value[node]
+    return nodes.value[node]
 
 
 def presort(features: np.ndarray):
@@ -143,10 +194,10 @@ def best_splits(targets, rows, vals, start, size, candidates, gain, floor: float
 def grow(features, layout, targets, columns, gain, floor: float, weights=None,
          max_depth=None):
     """Grow one tree per row of integer weights (one on every row without)
-    from a presort layout; returns (trees with leaf values 0, leaf_of_row:
-    each row's leaf or -1). Nodes below max_depth whose targets differ are
-    searched, with columns(count) giving their candidates in (tree,
-    breadth-first) order.
+    from a presort layout; returns (Nodes with leaf values 0, leaf_of_row:
+    each row's leaf in them, or -1). Nodes below max_depth whose targets
+    differ are searched, with columns(count) giving their candidates in
+    (tree, breadth-first) order.
 
     Without weights, features may be a stack of R runs (R, n, d) with its
     presort and (R, n) targets: tree t then grows on run t alone, exactly as
@@ -185,7 +236,7 @@ def grow(features, layout, targets, columns, gain, floor: float, weights=None,
         split = feature != _LEAF
         base += tree.size
         kid = 2 * split.cumsum() - 2  # children of a level's q-th split: 2q, 2q + 1
-        levels.append((tree, feature, threshold, base + kid))
+        levels.append((tree, feature, threshold))
         if not split.any():
             return _preorder(levels, node_of.reshape(n_trees, n))
         seg = np.arange(tree.size).repeat(size)
@@ -207,26 +258,39 @@ def grow(features, layout, targets, columns, gain, floor: float, weights=None,
 
 
 def _preorder(levels, leaf_of_row):
-    """Per-tree arrays in preorder (node, left subtree, right subtree)."""
-    tree, feature, threshold, left = (np.concatenate(a) for a in zip(*levels))
+    """Nodes in preorder (node, left subtree, right subtree), trees end to
+    end, and each row's node in them (or -1). levels holds each depth's
+    (tree, feature, threshold) in (tree, breadth-first) order; a node's id
+    counts level after level."""
+    # a level holds the children of the level above's splits, in order: the
+    # q-th split's at 2q and 2q + 1. Subtree sizes bottom-up:
+    split = [feature != _LEAF for _, feature, _ in levels]
+    size = [np.ones(split[-1].size, dtype=np.int64)]
+    for above in split[-2::-1]:
+        here = np.ones(above.size, dtype=np.int64)
+        here[above] += size[0][0::2] + size[0][1::2]
+        size.insert(0, here)
+    # positions top-down: roots in tree order, a left child right after its
+    # parent, the right child after the left subtree
+    at = [size[0].cumsum() - size[0]]
+    for above, below in zip(split, size[1:]):
+        here = np.empty(below.size, dtype=np.int64)
+        here[0::2] = at[-1][above] + 1
+        here[1::2] = here[0::2] + below[0::2]
+        at.append(here)
+    at = np.concatenate(at)
+    tree, feature, threshold = (np.concatenate(a) for a in zip(*levels))
     split = feature != _LEAF
-    left = np.where(split, left, _LEAF)
-    walk, stack, links = [], list(range(leaf_of_row.shape[0] - 1, -1, -1)), left.tolist()
-    while stack:
-        walk.append(stack.pop())
-        if links[walk[-1]] >= 0:
-            stack += (links[walk[-1]] + 1, links[walk[-1]])
-    walk = np.array(walk)
-    at = np.empty(walk.size, dtype=np.int64)
-    at[walk] = np.arange(walk.size)
     offset = at[:leaf_of_row.shape[0]]  # the first level holds the roots
-    local = at - offset[tree]
-    parts = [a[walk] for a in (feature, threshold, np.where(split, local[left], _LEAF),
-                               np.where(split, local[left + 1], _LEAF))]
-    bounds = offset.tolist() + [walk.size]
-    trees = [Tree(*(a[lo:hi] for a in parts), np.zeros(hi - lo))
-             for lo, hi in zip(bounds, bounds[1:])]
-    return trees, np.where(leaf_of_row >= 0, local[leaf_of_row], -1)
+    # past the roots, ids run in pairs: the children of each split in turn
+    links = np.full((2, at.size), _LEAF)
+    links[:, split] = (at[offset.size:].reshape(-1, 2) - offset[tree[split], None]).T
+    walk = np.empty_like(at)
+    walk[at] = np.arange(at.size)
+    left, right = links[:, walk]
+    nodes = Nodes(feature[walk], threshold[walk], left, right, np.zeros(at.size),
+                  np.append(offset, at.size))
+    return nodes, np.where(leaf_of_row >= 0, at[leaf_of_row], -1)
 
 
 def _neg_gini(left_pos, right_pos, n_left, n_right):
@@ -240,15 +304,19 @@ def _neg_gini(left_pos, right_pos, n_left, n_right):
 
 @dataclass
 class ForestModel:
-    trees: list
+    nodes: Nodes
     n_features: int
     meta: TrainMeta = field(default=None)
 
+    @property
+    def trees(self) -> list[Tree]:
+        return self.nodes.trees
+
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = check_predict_input(features, self.n_features)
-        votes = leaf_values(self.trees, features).sum(axis=0)
+        votes = leaf_values(self.nodes, features).sum(axis=0)
         # vote ties resolve to the positive class
-        return (2 * votes >= len(self.trees)).astype(np.int64)
+        return (2 * votes >= self.nodes.bounds.size - 1).astype(np.int64)
 
 
 def train_random_forest(
@@ -268,16 +336,16 @@ def train_random_forest(
     def columns(count):
         return np.argsort(rng.random((count, d)), axis=1, kind="stable")[:, :n_candidates]
 
-    trees, step = [], max(1, _LEVEL_ENTRIES // (n * d))
+    batches, step = [], max(1, _LEVEL_ENTRIES // (n * d))
     for first in range(0, n_estimators, step):
         batch = bootstraps[first:first + step]
         weights = np.bincount((batch + n * np.arange(len(batch))[:, None]).ravel(),
                               minlength=batch.size).reshape(batch.shape)
-        grown, leaf_of_row = grow(features, order, labels, columns, _neg_gini, -np.inf, weights)
-        for tree, leaf, w in zip(grown, leaf_of_row, weights):
-            # a leaf votes for its bootstrap majority; an exact tie votes positive
-            count, ones = (np.bincount(leaf[w > 0], x[w > 0], tree.value.size)
-                           for x in (w, w * labels))
-            tree.value[:] = (tree.feature == _LEAF) & (2 * ones >= count)
-        trees += grown
-    return ForestModel(trees=trees, n_features=d, meta=TrainMeta(kind="rf"))
+        nodes, leaf_of_row = grow(features, order, labels, columns, _neg_gini, -np.inf, weights)
+        # a leaf votes for its bootstrap majority; an exact tie votes positive
+        drawn = weights > 0
+        count, ones = (np.bincount(leaf_of_row[drawn], x[drawn], nodes.value.size)
+                       for x in (weights, weights * labels))
+        nodes.value[:] = (nodes.feature == _LEAF) & (2 * ones >= count)
+        batches.append(nodes)
+    return ForestModel(nodes=join(batches), n_features=d, meta=TrainMeta(kind="rf"))

@@ -128,6 +128,15 @@ def _as_groups(groups) -> list[np.ndarray]:
     return out
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of finite 1-D values: the mean of the middle one or two
+    sorted values, as np.median takes it, without np.median's NaN check,
+    which imports numpy.ma (10-20 ms per process)."""
+    ordered = np.sort(values)
+    mid = ordered.size // 2
+    return ordered[mid - 1 + ordered.size % 2:mid + 1].mean()
+
+
 def levene(groups) -> TestResult:
     """Brown-Forsythe variant: one-way F on absolute deviations from medians."""
     gs = _as_groups(groups)
@@ -135,7 +144,7 @@ def levene(groups) -> TestResult:
         if g.size < 2:
             raise ValueError(f"group {i} needs at least 2 values for a spread")
     k = len(gs)
-    devs = [np.abs(g - np.median(g)) for g in gs]
+    devs = [np.abs(g - _median(g)) for g in gs]
     n_total = sum(d.size for d in devs)
     grand = sum(float(d.sum()) for d in devs) / n_total
     between = sum(d.size * (float(d.mean()) - grand) ** 2 for d in devs) / (k - 1)

@@ -136,7 +136,7 @@ def deviance_path(model, x, y) -> list:
     """Training deviance before the first stage and after each stage."""
     scores = np.full(y.size, model.base_score)
     path = [binomial_deviance(y, scores)]
-    for values in leaf_values(model.trees, x):
+    for values in leaf_values(model.nodes, x):
         scores = scores + model.learning_rate * values
         path.append(binomial_deviance(y, scores))
     return path

@@ -288,6 +288,21 @@ class TestResampleBytes:
                 ref = _reference_chunked_resample(x, src, dst)
                 assert out.tobytes() == ref.tobytes(), (src, dst, n)
 
+    @pytest.mark.parametrize("src", _BYTE_SOURCES)
+    def test_limit_keeps_leading_outputs(self, src):
+        rng = np.random.default_rng(src + 1)
+        for dst in _BYTE_TARGETS + (src,):
+            for n in _BYTE_LENGTHS:
+                x = rng.normal(size=n)
+                full = resample(AudioClip(x, src), dst).samples
+                for limit in {1, 2, full.size // 3, full.size - 1, full.size, full.size + 4} - {0}:
+                    kept = resample(AudioClip(x, src), dst, limit).samples
+                    assert kept.tobytes() == full[:limit].tobytes(), (src, dst, n, limit)
+
+    def test_limit_must_be_positive(self):
+        with pytest.raises(ValueError):
+            resample(AudioClip(np.zeros(10), 8000), 16000, 0)
+
     def test_grid_reaches_edge_layouts(self):
         # fewer outputs than phases, and phases that fill two kernel blocks
         layouts = [

@@ -349,6 +349,28 @@ class TestImportCost:
         code = "import sys, voicebench.cli\nprint('multiprocessing' in sys.modules)\n"
         assert _run_python(["-c", code], None).stdout.split() == ["False"]
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_import_restores_the_callers_gc_state(self, enabled):
+        code = ("import gc\n" + ("gc.enable()" if enabled else "gc.disable()")
+                + "\nimport voicebench\nprint(gc.isenabled())\n")
+        assert _run_python(["-c", code], None).stdout.split() == [str(enabled)]
+
+    def test_cli_import_freezes_the_import_graph(self):
+        code = "import gc, voicebench.cli\nprint(gc.get_freeze_count() > 0)\n"
+        assert _run_python(["-c", code], None).stdout.split() == ["True"]
+
+    def test_all_leaves_out_numpy_ma(self, tabular_csv, tmp_path):
+        # plain np.unique and np.median import numpy.ma, 10-20 ms per process;
+        # the command loads the table, fits all five kinds and analyzes
+        args = _tab_args(tabular_csv, tmp_path / "out", "--models", "logreg,svm,rf,gb,dnn")
+        code = (
+            "import sys\n"
+            "from voicebench.cli import cli_main\n"
+            f"args = {args!r}\n"
+            "assert cli_main(['all', *args]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+        assert _run_python(["-c", code], None).stdout.split()[-1] == "False"
+
 
 class TestBlasThreads:
     """Importing voicebench before numpy pins OpenBLAS to one thread, so

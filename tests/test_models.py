@@ -30,10 +30,12 @@ from voicebench.models.boosting import (
 from voicebench.models.forest import (
     _LEVEL_ENTRIES,
     ForestModel,
+    Nodes,
     Tree,
     _neg_gini,
     best_splits,
     grow,
+    join,
     leaf_values,
     presort,
     train_random_forest,
@@ -346,13 +348,14 @@ class TestSvm:
                               @ model.dual_coef + model.bias)
 
 
-def _stump(threshold: float, left_value: float, right_value: float) -> Tree:
-    return Tree(
+def _stump(threshold: float, left_value: float, right_value: float) -> Nodes:
+    return Nodes(
         feature=np.array([0, -1, -1]),
         threshold=np.array([threshold, 0.0, 0.0]),
         left=np.array([1, -1, -1]),
         right=np.array([2, -1, -1]),
         value=np.array([0.0, left_value, right_value]),
+        bounds=np.array([0, 3]),
     )
 
 
@@ -398,7 +401,7 @@ class TestForest:
 
     def test_vote_tie_goes_positive(self):
         model = ForestModel(
-            trees=[_stump(0.0, 0.0, 0.0), _stump(0.0, 1.0, 1.0)],
+            nodes=join([_stump(0.0, 0.0, 0.0), _stump(0.0, 1.0, 1.0)]),
             n_features=1,
         )
         # one tree votes 0, the other votes 1, for any input
@@ -406,7 +409,7 @@ class TestForest:
 
     def test_stump_routing(self):
         tree = _stump(0.5, -1.0, 2.0)
-        out = leaf_values([tree], np.array([[0.4], [0.5], [0.6]]))[0]
+        out = leaf_values(tree, np.array([[0.4], [0.5], [0.6]]))[0]
         # x <= threshold goes left
         assert np.array_equal(out, [-1.0, -1.0, 2.0])
 
@@ -566,9 +569,9 @@ class TestForestWidePredict:
         probe = np.vstack([probe, x])  # training rows sit on thresholds' sides exactly
         forest_model = train_random_forest(x, y, n_estimators=30, seed=4)
         walked = np.array([[_walk(tree, row) for row in probe] for tree in forest_model.trees])
-        assert np.array_equal(leaf_values(forest_model.trees, probe), walked)
-        for tree, expected in zip(forest_model.trees[:5], walked):
-            assert np.array_equal(leaf_values([tree], probe)[0], expected)
+        assert np.array_equal(leaf_values(forest_model.nodes, probe), walked)
+        for tree, expected in zip(forest_model.nodes.cut(30)[:5], walked):
+            assert np.array_equal(leaf_values(tree, probe)[0], expected)
         votes = walked.sum(axis=0)
         assert np.array_equal(forest_model.predict(probe), (2 * votes >= 30).astype(int))
         boost = train_gradient_boosting(x, y, n_estimators=25)
@@ -582,6 +585,144 @@ def _depth(tree, node=0):
     if tree.feature[node] == -1:
         return 0
     return 1 + max(_depth(tree, tree.left[node]), _depth(tree, tree.right[node]))
+
+
+def _stack_preorder(levels, leaf_of_row):
+    """The per-node stack walk grow laid trees out with before they were
+    kept flat: a list of Trees in preorder and each row's local leaf.
+    Each level's splits have their children's ids added as grow added them."""
+    base, linked = 0, []
+    for tree, feature, threshold in levels:
+        base += tree.size
+        linked.append((tree, feature, threshold, base + 2 * (feature != -1).cumsum() - 2))
+    tree, feature, threshold, left = (np.concatenate(a) for a in zip(*linked))
+    split = feature != -1
+    left = np.where(split, left, -1)
+    walk, stack, links = [], list(range(leaf_of_row.shape[0] - 1, -1, -1)), left.tolist()
+    while stack:
+        walk.append(stack.pop())
+        if links[walk[-1]] >= 0:
+            stack += (links[walk[-1]] + 1, links[walk[-1]])
+    walk = np.array(walk)
+    at = np.empty(walk.size, dtype=np.int64)
+    at[walk] = np.arange(walk.size)
+    offset = at[:leaf_of_row.shape[0]]
+    local = at - offset[tree]
+    parts = [a[walk] for a in (feature, threshold, np.where(split, local[left], -1),
+                               np.where(split, local[left + 1], -1))]
+    bounds = offset.tolist() + [walk.size]
+    trees = [Tree(*(a[lo:hi] for a in parts), np.zeros(hi - lo))
+             for lo, hi in zip(bounds, bounds[1:])]
+    return trees, np.where(leaf_of_row >= 0, local[leaf_of_row], -1)
+
+
+def _vote_per_tree(trees, leaf_of_row, weights, labels):
+    """The per-tree loop rf set its leaf votes with: a leaf votes for its
+    bootstrap majority, an exact tie positive. leaf_of_row is local."""
+    for tree, leaf, w in zip(trees, leaf_of_row, weights):
+        count, ones = (np.bincount(leaf[w > 0], x[w > 0], tree.value.size)
+                       for x in (w, w * labels))
+        tree.value[:] = (tree.feature == -1) & (2 * ones >= count)
+
+
+def _flat_bytes(nodes):
+    return [(a.dtype.str, np.ascontiguousarray(a).tobytes()) for a in (
+        nodes.feature, nodes.threshold, nodes.left, nodes.right, nodes.value, nodes.bounds)]
+
+
+class TestFlatLayout:
+    """Grown trees stay flat, bit for bit the arrays of the per-node stack
+    walk and per-tree vote loop they replaced."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Compares every _preorder call with the stack walk; yields the count."""
+        calls = []
+        flat = forest._preorder
+
+        def spy(levels, leaf_of_row):
+            nodes, leaf = flat(levels, leaf_of_row)
+            trees, local = _stack_preorder(levels, leaf_of_row)
+            bounds = np.cumsum([0] + [tree.feature.size for tree in trees])
+            expected = Nodes(*(np.concatenate([getattr(tree, name) for tree in trees])
+                               for name in ("feature", "threshold", "left", "right", "value")),
+                             bounds)
+            assert _flat_bytes(nodes) == _flat_bytes(expected)
+            offsets = bounds[:-1, None].repeat(local.shape[1], axis=1)
+            assert leaf.tobytes() == np.where(local >= 0, local + offsets, -1).tobytes()
+            assert leaf.dtype == local.dtype
+            calls.append(len(trees))
+            return nodes, leaf
+
+        monkeypatch.setattr(forest, "_preorder", spy)
+        return calls
+
+    @pytest.mark.parametrize("max_depth", [3, None])
+    def test_rf_batches_match_stack_walk(self, checked, max_depth):
+        rng = np.random.default_rng(80)
+        for case in range(12):
+            n, d, trees = int(rng.integers(2, 60)), int(rng.integers(1, 7)), int(rng.integers(1, 9))
+            x = np.round(rng.normal(size=(n, d)), int(rng.integers(0, 3)))
+            y = rng.integers(0, 2, n)
+            weights = np.stack([np.bincount(rng.integers(0, n, n), minlength=n)
+                                for _ in range(trees)])
+            k = max(1, math.ceil(math.sqrt(d)))
+            grow(x, presort(x), y,
+                 lambda count: np.argsort(rng.random((count, d)), axis=1)[:, :k],
+                 _neg_gini, -np.inf, weights, max_depth=max_depth)
+        assert len(checked) == 12
+
+    @pytest.mark.parametrize("max_depth", [3, None])
+    def test_gb_stacks_match_stack_walk(self, checked, max_depth):
+        rng = np.random.default_rng(81)
+        for case in range(12):
+            runs, n, d = int(rng.integers(1, 6)), int(rng.integers(2, 50)), int(rng.integers(1, 6))
+            x = np.round(rng.normal(size=(runs, n, d)), int(rng.integers(0, 3)))
+            targets = rng.integers(0, 2, (runs, n)) - rng.uniform(0.2, 0.8, (runs, n))
+            targets[0] = np.where(x[0, :, 0] > 0, 0.5, -0.5)  # run 0 closes at depth 1
+            grow(x, presort(x), targets, lambda count: np.arange(d)[None].repeat(count, axis=0),
+                 _friedman_gain, _MIN_IMPROVEMENT, max_depth=max_depth)
+        assert len(checked) == 12
+
+    def test_trainers_match_stack_walk_and_vote_loop(self, checked, monkeypatch):
+        x, y = make_blobs(seed=82, n=178, d=22, sep=0.3, std=1.5)
+        x = np.round(x, 1)
+        batches, engine = [], forest.grow
+
+        def spy(*args, **kwargs):
+            nodes, leaf = engine(*args, **kwargs)
+            batches.append((nodes, leaf, args[6]))
+            return nodes, leaf
+
+        monkeypatch.setattr(forest, "grow", spy)
+        model = train_random_forest(x, y, n_estimators=25, seed=3)
+        assert len(batches) > 1
+        for nodes, leaf, weights in batches:
+            trees = [Tree(*(np.array(a) for a in (tree.feature, tree.threshold, tree.left,
+                                                   tree.right)), np.zeros(tree.value.size))
+                     for tree in nodes.trees]
+            local = np.where(leaf >= 0, leaf - nodes.bounds[:-1, None], -1)
+            _vote_per_tree(trees, local, weights, y)
+            assert _tree_digest(trees) == _tree_digest(nodes.trees)
+        assert _flat_bytes(model.nodes) == _flat_bytes(join([nodes for nodes, _, _ in batches]))
+        monkeypatch.setattr(forest, "grow", engine)
+        block = [(x[0:120:2], y[0:120:2]), (x[1:120:2], y[1:120:2])]
+        fit_block(ClassifierSpec("gb", {"n_estimators": 5}), block)
+        assert len(checked) == len(batches) + 5
+
+    def test_fit_and_predict_build_no_tree(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Tree was built on the fit or predict path")
+
+        monkeypatch.setattr(forest, "Tree", refuse)
+        x, y = make_blobs(seed=83, n=40, d=4, sep=0.5, std=1.5)
+        for kind in ("rf", "gb"):
+            fit(ClassifierSpec(kind, {"n_estimators": 5}), (x, y), seed=1).predict(x)
+        for model in fit_block(ClassifierSpec("gb", {"n_estimators": 5}),
+                               [(x, y), (x[::-1], y[::-1])]):
+            model.predict(x)
+        with pytest.raises(AssertionError):
+            fit(ClassifierSpec("rf", {"n_estimators": 2}), (x, y)).trees
 
 
 class TestForestCost:
@@ -643,9 +784,10 @@ class TestBoostingEngine:
             else:
                 targets = rng.integers(0, 2, n) - rng.uniform(0.2, 0.8, n)
             for max_depth in (3, None):
-                (tree,), (leaf_of_row,) = grow(
+                nodes, (leaf_of_row,) = grow(
                     x, presort(x), targets, lambda count: np.arange(d)[None].repeat(count, axis=0),
                     _friedman_gain, _MIN_IMPROVEMENT, max_depth=max_depth)
+                (tree,) = nodes.trees
                 expected, expected_leaf_of_row, levels_mixed = _reference_boost_tree(
                     x, targets, max_depth)
                 assert _tree_digest([tree]) == _tree_digest([expected])
@@ -799,9 +941,9 @@ def best_split(features, targets, rows, columns, gain, floor):
 def _grow_one(features, targets, leaf_value, gain, floor):
     """One tree on every row with every column; leaves take leaf_value(rows)."""
     d = features.shape[1]
-    (tree,), (leaf_of_row,) = grow(features, presort(features), targets,
-                                   lambda count: np.broadcast_to(np.arange(d), (count, d)),
-                                   gain, floor)
+    tree, (leaf_of_row,) = grow(features, presort(features), targets,
+                                lambda count: np.broadcast_to(np.arange(d), (count, d)),
+                                gain, floor)
     for node in np.flatnonzero(tree.feature == -1):
         tree.value[node] = leaf_value(np.flatnonzero(leaf_of_row == node))
     return tree, leaf_of_row
@@ -880,7 +1022,7 @@ class TestSplitSearch:
         assert best_split(x, y, np.arange(2), np.array([0]), _neg_gini, -np.inf) == (0, v)
         tree, leaf_of_row = _grow_one(x, y, lambda rows: float(y[rows][0]), _neg_gini, -np.inf)
         assert tree.threshold[0] == v
-        assert np.array_equal(leaf_values([tree], x)[0], [1.0, 0.0])
+        assert np.array_equal(leaf_values(tree, x)[0], [1.0, 0.0])
         assert leaf_of_row[0] != leaf_of_row[1]
 
     def test_friedman_gain_at_floor_makes_a_leaf(self):
@@ -909,7 +1051,7 @@ class TestSplitSearch:
         residuals = y - y.mean()
         tree, leaf_of_row = _grow_one(x, residuals, _mean_leaf(residuals), _friedman_gain,
                                       _MIN_IMPROVEMENT)
-        assert np.array_equal(tree.value[leaf_of_row], leaf_values([tree], x)[0])
+        assert np.array_equal(tree.value[leaf_of_row], leaf_values(tree, x)[0])
         assert np.all(tree.feature[leaf_of_row] == -1)
 
 

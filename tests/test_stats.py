@@ -9,6 +9,7 @@ from voicebench.stats import (
     compact_letters,
     dunn_bonferroni,
     kruskal_wallis,
+    _median,
     levene,
     midranks,
     shapiro_wilk,
@@ -84,6 +85,14 @@ class TestLevene:
             ref_s, ref_p = scipy.stats.levene(*groups, center="median")
             assert abs(ours.statistic - ref_s) < 1e-10
             assert abs(ours.p_value - ref_p) < 1e-10
+
+    def test_median_bytes_match_numpy(self):
+        # ties, signed zeros, odd and even sizes: levene's centers are np.median's bytes
+        rng = np.random.default_rng(23)
+        for size in list(range(1, 12)) + [100, 101]:
+            for decimals in (0, 1, 8):
+                g = np.round(rng.normal(0.0, 0.2, size=size), decimals)
+                assert np.float64(_median(g)).tobytes() == np.median(g).tobytes(), g
 
     def test_all_spreads_zero(self):
         # every deviation is zero: 0/0 resolves to "no evidence", not an error
