@@ -50,10 +50,6 @@ class AudioClip:
             raise MalformedWav("clip contains non-finite samples")
         object.__setattr__(self, "samples", samples)
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 def _decode_frames(payload: bytes, audio_format: int, bits: int) -> np.ndarray:
     if audio_format == _FORMAT_PCM and bits == 16:

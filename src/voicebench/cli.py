@@ -16,21 +16,30 @@ import gc
 import sys
 from pathlib import Path
 
-from . import harness
-from .data import load_audio_dataset
-from .errors import UsageError, VoicebenchError
-from .harness import (
-    ExperimentConfig,
-    analyze,
-    emit_outputs,
-    emit_report,
-    load_manifest,
-    read_runs_csv,
-    run_experiment,
-)
-from .jsonio import format_float
-from .mfcc import N_MFCC
-from .models import CANONICAL_KINDS
+# Importing numpy and the package leaves almost no cyclic garbage, so the
+# collector's passes over the growing import graph would be wasted; the
+# caller's setting comes back afterwards.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    from . import harness
+    from .data import load_audio_dataset
+    from .errors import UsageError, VoicebenchError
+    from .harness import (
+        ExperimentConfig,
+        analyze,
+        emit_outputs,
+        emit_report,
+        load_manifest,
+        read_runs_csv,
+        run_experiment,
+    )
+    from .jsonio import format_float
+    from .mfcc import N_MFCC
+    from .models import CANONICAL_KINDS
+finally:
+    if _collecting:
+        gc.enable()
 
 # Everything imported so far lives as long as the process: keep it out of
 # every later collection and out of the pass at exit. Once per import, since

@@ -318,7 +318,9 @@ def execute_task(
     seeds = [stream_seed(rs, model_stream_id(kind)) for rs in run_seeds]
     if kind in BLOCK_KINDS:  # gb and dnn: every run's model in one stacked call
         models = fit_block(spec, trains, validations, seeds)
-    else:  # fitted as scored, so a block holds one model at a time
+    else:
+        # fitted as scored, so a block holds one model at a time; one fit call
+        # per run, since bench/tracer.py times fits by wrapping harness.fit
         models = map(fit, itertools.repeat(spec), trains, validations, seeds)
     records = []
     for run_index, rs, split, model in zip(runs, run_seeds, splits, models):

@@ -3,8 +3,8 @@
 Kinds: logreg, svm, rf, gb, dnn. All predictors map a probability or score
 tie exactly at the decision boundary to the positive class. A kind's
 hyperparameters, with their defaults, are the keyword arguments of its
-trainer. gb and dnn can also train a block of runs in one stacked call
-(fit_block).
+trainer. fit_block trains a block of runs of one kind: gb and dnn in one
+stacked call, the other kinds run after run. fit is a block of one.
 """
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DegenerateData, DimensionMismatch, UsageError
-from .boosting import train_gradient_boosting, train_gradient_boosting_block
-from .dnn import train_dnn, train_dnn_block
+from .boosting import train_gradient_boosting_block
+from .dnn import train_dnn_block
 from .forest import train_random_forest
 from .logreg import train_logreg
 from .svm import train_svm_smo
@@ -27,13 +27,12 @@ _TRAINERS = {
     "logreg": train_logreg,
     "svm": train_svm_smo,
     "rf": train_random_forest,
-    "gb": train_gradient_boosting,
-    "dnn": train_dnn,
+    "gb": train_gradient_boosting_block,
+    "dnn": train_dnn_block,
 }
 CANONICAL_KINDS = tuple(_TRAINERS)
 # Kinds whose trainer grows the models of a whole block of runs in one call.
-_BLOCK_TRAINERS = {"gb": train_gradient_boosting_block, "dnn": train_dnn_block}
-BLOCK_KINDS = tuple(_BLOCK_TRAINERS)
+BLOCK_KINDS = ("gb", "dnn")
 
 
 @dataclass(frozen=True)
@@ -115,30 +114,24 @@ def _trainer_args(kind: str, train, validation) -> tuple:
 
 
 def fit(spec: ClassifierSpec, train, validation=None, seed: int = 0):
-    """Train one classifier. train/validation are (features, labels) pairs.
+    """Train one classifier, as a block of one (fit_block). train/validation
+    are (features, labels) pairs.
 
     Deterministic given (spec, data, seed); only rf and dnn draw from the
     seed. Only the DNN consumes the validation pair (early stopping); it is
     accepted for every kind so callers stay uniform.
     """
-    args = _trainer_args(spec.kind, train, validation)
-    params = make_spec(spec.kind, spec.params if spec.params else None).params
-    if spec.kind in ("rf", "dnn"):
-        params["seed"] = seed
-
-    started = time.perf_counter()
-    model = _TRAINERS[spec.kind](*args, **params)
-    model.meta.train_ms = (time.perf_counter() - started) * 1000.0
-    return model
+    return fit_block(spec, [train], [validation], [seed])[0]
 
 
 def fit_block(spec: ClassifierSpec, trains, validations=None, seeds=None) -> list:
-    """Train one classifier per run of a kind in BLOCK_KINDS, in one stacked
-    call; run t's model equals fit(spec, trains[t], validations[t], seeds[t]).
+    """Train one classifier per run, in run order; run t's model depends only
+    on (spec, trains[t], validations[t], seeds[t]), and seeds default to 0.
 
-    Every run passes fit's checks, and all runs' sets must share their
-    shapes. seeds default to fit's 0. Each model's train_ms is an equal share
-    of the call's time.
+    Every run passes the same checks. logreg, svm and rf train run after
+    run, each model timing its own call. Kinds in BLOCK_KINDS train every
+    run in one stacked call, so all runs' sets must share their shapes, and
+    each model's train_ms is an equal share of the call's time.
     """
     runs = len(trains)
     validations = [None] * runs if validations is None else list(validations)
@@ -147,14 +140,25 @@ def fit_block(spec: ClassifierSpec, trains, validations=None, seeds=None) -> lis
         raise UsageError(f"a block of {runs} runs needs {runs} validation pairs and seeds")
     stacks = [_trainer_args(spec.kind, train, validation)
               for train, validation in zip(trains, validations)]
+    params = make_spec(spec.kind, spec.params if spec.params else None).params
+    trainer = _TRAINERS[spec.kind]
+    if spec.kind not in BLOCK_KINDS:
+        models = []
+        for args, seed in zip(stacks, seeds):
+            if spec.kind == "rf":
+                params["seed"] = seed
+            started = time.perf_counter()
+            model = trainer(*args, **params)
+            model.meta.train_ms = (time.perf_counter() - started) * 1000.0
+            models.append(model)
+        return models
     shapes = {tuple(part.shape for part in args) for args in stacks}
     if len(shapes) > 1:
         raise DimensionMismatch(f"a block's training sets differ in shape: {sorted(shapes)}")
-    params = make_spec(spec.kind, spec.params if spec.params else None).params
     if spec.kind == "dnn":
         params["seeds"] = seeds
     started = time.perf_counter()
-    models = _BLOCK_TRAINERS[spec.kind](*(np.stack(part) for part in zip(*stacks)), **params)
+    models = trainer(*(np.stack(part) for part in zip(*stacks)), **params)
     share = (time.perf_counter() - started) * 1000.0 / len(models)
     for model in models:
         model.meta.train_ms = share

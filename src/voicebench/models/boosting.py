@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .base import TrainMeta, check_predict_input, sigmoid
-from .forest import Nodes, Tree, grow, join, leaf_values, presort
+from .forest import Nodes, grow, join, leaf_values, presort
 
 _MIN_IMPROVEMENT = 1e-12
 _NEWTON_FLOOR = 1e-150
@@ -39,37 +39,23 @@ class BoostModel:
     n_features: int
     meta: TrainMeta = field(default=None)
 
-    @property
-    def trees(self) -> list[Tree]:
-        return self.nodes.trees
-
     def raw_scores(self, features: np.ndarray) -> np.ndarray:
         features = check_predict_input(features, self.n_features)
-        scores = np.full(features.shape[0], self.base_score)
-        for values in leaf_values(self.nodes, features):  # in tree order
-            scores += self.learning_rate * values
-        return scores
+        steps = self.learning_rate * leaf_values(self.nodes, features)
+        # added onto the base score tree after tree: a running sum fixes the float order
+        start = np.full((1, features.shape[0]), self.base_score)
+        return np.add.accumulate(np.concatenate([start, steps]))[-1]
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return (self.raw_scores(features) >= 0.0).astype(np.int64)
 
 
-def train_gradient_boosting(
-    features: np.ndarray,
-    labels: np.ndarray,
-    n_estimators: int = 100,
-    learning_rate: float = 0.1,
-    max_depth: int = 3,
-) -> BoostModel:
-    return train_gradient_boosting_block(np.asarray(features)[None], np.asarray(labels)[None],
-                                         n_estimators, learning_rate, max_depth)[0]
-
-
-def train_gradient_boosting_block(features, labels, n_estimators: int,
-                                  learning_rate: float, max_depth: int) -> list[BoostModel]:
+def train_gradient_boosting_block(features, labels, n_estimators: int = 100,
+                                  learning_rate: float = 0.1,
+                                  max_depth: int = 3) -> list[BoostModel]:
     """One BoostModel per run of a stack, (R, n, d) features and (R, n)
-    labels, each equal to the run's own fit: every stage grows the R runs'
-    trees in one engine call."""
+    labels, each equal to the run's fit in a block of one: every stage
+    grows the R runs' trees in one engine call."""
     features = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     runs, n, d = features.shape

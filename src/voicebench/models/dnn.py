@@ -115,13 +115,10 @@ class DnnModel:
     val_loss_history: list = field(default_factory=list)
     best_val_loss: float = float("inf")
 
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        features = check_predict_input(features, self.dims[0])
-        return sigmoid(forward_logits(self.params, features))
-
     def predict(self, features: np.ndarray) -> np.ndarray:
+        features = check_predict_input(features, self.dims[0])
         # probability exactly 0.5 resolves to the positive class
-        return (self.predict_proba(features) >= 0.5).astype(np.int64)
+        return (sigmoid(forward_logits(self.params, features)) >= 0.5).astype(np.int64)
 
 
 def _validation_loss(params: list, x: np.ndarray, y: np.ndarray):
@@ -129,11 +126,12 @@ def _validation_loss(params: list, x: np.ndarray, y: np.ndarray):
     return binomial_deviance(y, forward_logits(params, x))
 
 
-def train_dnn(
+def train_dnn_block(
     features: np.ndarray,
     labels: np.ndarray,
     val_features: np.ndarray,
     val_labels: np.ndarray,
+    seeds,
     hidden: tuple[int, ...] = (64, 32),
     dropout: float = 0.3,
     learning_rate: float = 0.003,
@@ -141,20 +139,11 @@ def train_dnn(
     epochs: int = 100,
     batch_size: int = 32,
     patience: int = 15,
-    seed: int = 0,
-) -> DnnModel:
-    data = (features, labels, val_features, val_labels)
-    return train_dnn_block(*(np.asarray(a)[None] for a in data), (seed,), hidden, dropout,
-                           learning_rate, l2, epochs, batch_size, patience)[0]
-
-
-def train_dnn_block(features, labels, val_features, val_labels, seeds, hidden: tuple[int, ...],
-                    dropout: float, learning_rate: float, l2: float, epochs: int,
-                    batch_size: int, patience: int) -> list[DnnModel]:
+) -> list[DnnModel]:
     """One DnnModel per run of a stack, (R, n, d) features, (R, n) labels,
     (R, nv, d) and (R, nv) validation, one seed per run, each equal to the
-    run's own fit. Runs train in stacks of at most _LEVEL_ENTRIES //
-    n_parameters(dims), which bounds the working memory."""
+    run's fit in a block of one. Runs train in stacks of at most
+    _LEVEL_ENTRIES // n_parameters(dims), which bounds the working memory."""
     arrays = [np.asarray(a, dtype=np.float64)
               for a in (features, labels, val_features, val_labels)]
     dims = (arrays[0].shape[2], *hidden, 1)

@@ -38,9 +38,14 @@ _LEAF = -1
 _LEVEL_ENTRIES = 40_000
 
 
+_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+
 @dataclass
-class Tree:
-    """One tree's node arrays in preorder; feature == -1 marks a leaf and
+class Nodes:
+    """Trees end to end, each in preorder: tree t holds nodes bounds[t] to
+    bounds[t + 1], and its child links count from its own first node, so
+    cut(trees) gives each tree's own Nodes. feature == -1 marks a leaf, and
     value holds its vote or score."""
 
     feature: np.ndarray
@@ -48,30 +53,7 @@ class Tree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-
-
-_ARRAYS = ("feature", "threshold", "left", "right", "value")
-
-
-@dataclass
-class Nodes:
-    """Trees end to end, each in preorder: tree t holds nodes bounds[t] to
-    bounds[t + 1], and its child links count from its own first node, so a
-    slice of it is that tree's Tree."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
     bounds: np.ndarray
-
-    @property
-    def trees(self) -> list[Tree]:
-        """Per-tree views of the arrays, for inspection."""
-        edges = self.bounds.tolist()
-        return [Tree(*(getattr(self, name)[lo:hi] for name in _ARRAYS))
-                for lo, hi in zip(edges, edges[1:])]
 
     def cut(self, count: int) -> list[Nodes]:
         """count Nodes of equal tree counts, in order, viewing these arrays."""
@@ -307,10 +289,6 @@ class ForestModel:
     nodes: Nodes
     n_features: int
     meta: TrainMeta = field(default=None)
-
-    @property
-    def trees(self) -> list[Tree]:
-        return self.nodes.trees
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = check_predict_input(features, self.n_features)

@@ -94,12 +94,9 @@ class LogisticModel:
         features = check_predict_input(features, self.weights.shape[0])
         return features @ self.weights + self.intercept
 
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        return sigmoid(self.decision(features))
-
     def predict(self, features: np.ndarray) -> np.ndarray:
         # probability exactly 0.5 resolves to the positive class
-        return (self.predict_proba(features) >= 0.5).astype(np.int64)
+        return (sigmoid(self.decision(features)) >= 0.5).astype(np.int64)
 
 
 def logreg_objective(theta: np.ndarray, features: np.ndarray, z: np.ndarray, c: float):

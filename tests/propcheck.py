@@ -13,8 +13,8 @@ from voicebench.data import (
     stratified_split,
 )
 from voicebench.mfcc import HOP, LOG_FLOOR, N_FFT, N_MELS, N_MFCC, SAMPLE_RATE, mfcc
+from voicebench.models import ClassifierSpec, fit
 from voicebench.models.base import binomial_deviance
-from voicebench.models.boosting import train_gradient_boosting
 from voicebench.models.forest import leaf_values
 from voicebench.models.svm import rbf_kernel, train_svm_smo
 
@@ -151,7 +151,7 @@ def check_boosting_descent(seed: int):
     y = (x @ w + 0.3 * rng.normal(size=n) > 0).astype(int)
     if y.min() == y.max():
         y[0] = 1 - y[0]
-    model = train_gradient_boosting(x, y, n_estimators=25)
+    model = fit(ClassifierSpec("gb", {"n_estimators": 25}), (x, y))
     path = np.asarray(deviance_path(model, x, y))
     assert np.all(np.diff(path) <= 1e-12), "training deviance increased"
 

@@ -24,10 +24,6 @@ from voicebench.errors import MalformedWav, UnsupportedEncoding
 
 
 class TestAudioClip:
-    def test_duration(self):
-        clip = AudioClip(np.zeros(8000), 16000)
-        assert clip.duration == 0.5
-
     def test_rejects_empty(self):
         with pytest.raises(MalformedWav):
             AudioClip(np.zeros(0), 16000)

@@ -351,9 +351,21 @@ class TestImportCost:
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_import_restores_the_callers_gc_state(self, enabled):
-        code = ("import gc\n" + ("gc.enable()" if enabled else "gc.disable()")
-                + "\nimport voicebench\nprint(gc.isenabled())\n")
-        assert _run_python(["-c", code], None).stdout.split() == [str(enabled)]
+        for module in ("voicebench", "voicebench.cli"):
+            code = ("import gc\n" + ("gc.enable()" if enabled else "gc.disable()")
+                    + f"\nimport {module}\nprint(gc.isenabled())\n")
+            assert _run_python(["-c", code], None).stdout.split() == [str(enabled)]
+
+    def test_package_import_loads_no_submodule(self):
+        # the root only pins BLAS; numpy loads with the first module that needs it
+        code = ("import os, sys, voicebench\n"
+                "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])\n")
+        assert _run_python(["-c", code], "4").stdout.split() == ["False", "1"]
+
+    def test_submodule_attribute_is_the_module(self):
+        code = ("import types, voicebench.mfcc\n"
+                "print(isinstance(voicebench.mfcc, types.ModuleType))\n")
+        assert _run_python(["-c", code], None).stdout.split() == ["True"]
 
     def test_cli_import_freezes_the_import_graph(self):
         code = "import gc, voicebench.cli\nprint(gc.get_freeze_count() > 0)\n"

@@ -7,7 +7,7 @@ from conftest import make_blobs
 from voicebench.errors import DimensionMismatch, UsageError
 from voicebench.models import ClassifierSpec, fit, fit_block, make_spec
 from voicebench.models import dnn
-from voicebench.models.base import binomial_deviance
+from voicebench.models.base import binomial_deviance, sigmoid
 from voicebench.models.dnn import (
     DnnModel,
     _batch_masks,
@@ -16,8 +16,12 @@ from voicebench.models.dnn import (
     init_params,
     layer_views,
     n_parameters,
-    train_dnn,
 )
+
+
+def _fit_dnn(features, labels, val_features, val_labels, seed=0, **params):
+    """One dnn model fitted through the registry."""
+    return fit(ClassifierSpec("dnn", params), (features, labels), (val_features, val_labels), seed)
 
 
 def loss_and_grads(params, x, y, masks=None):
@@ -125,15 +129,15 @@ class TestTraining:
     def test_learns_blobs(self):
         x, y = make_blobs(seed=300, n=80, d=5, sep=2.0, std=0.6)
         xv, yv = make_blobs(seed=301, n=30, d=5, sep=2.0, std=0.6)
-        model = train_dnn(x, y, xv, yv, epochs=60, seed=2)
+        model = _fit_dnn(x, y, xv, yv, epochs=60, seed=2)
         assert np.array_equal(model.predict(x), y)
         assert model.meta.epochs_run >= 1
 
     def test_deterministic(self):
         x, y = make_blobs(seed=302, n=50, d=4, sep=1.0, std=1.0)
         xv, yv = make_blobs(seed=303, n=20, d=4, sep=1.0, std=1.0)
-        a = train_dnn(x, y, xv, yv, epochs=12, seed=7)
-        b = train_dnn(x, y, xv, yv, epochs=12, seed=7)
+        a = _fit_dnn(x, y, xv, yv, epochs=12, seed=7)
+        b = _fit_dnn(x, y, xv, yv, epochs=12, seed=7)
         assert a.val_loss_history == b.val_loss_history
         for (wa, ba), (wb, bb) in zip(a.params, b.params):
             assert np.array_equal(wa, wb)
@@ -143,7 +147,7 @@ class TestTraining:
         # small training set + many epochs: validation loss will turn up
         x, y = make_blobs(seed=304, n=24, d=6, sep=0.4, std=1.6)
         xv, yv = make_blobs(seed=305, n=40, d=6, sep=0.4, std=1.6)
-        model = train_dnn(x, y, xv, yv, epochs=400, patience=10, seed=3)
+        model = _fit_dnn(x, y, xv, yv, epochs=400, patience=10, seed=3)
         history = np.asarray(model.val_loss_history)
         assert abs(model.best_val_loss - history.min()) < 1e-15
         assert model.meta.early_stopped is True
@@ -160,10 +164,10 @@ class TestTraining:
     def test_inference_has_no_dropout(self):
         x, y = make_blobs(seed=306, n=40, d=3, sep=1.5, std=0.8)
         xv, yv = make_blobs(seed=307, n=16, d=3, sep=1.5, std=0.8)
-        model = train_dnn(x, y, xv, yv, epochs=10, dropout=0.5, seed=4)
+        model = _fit_dnn(x, y, xv, yv, epochs=10, dropout=0.5, seed=4)
         probe = np.random.default_rng(308).normal(size=(25, 3))
-        a = model.predict_proba(probe)
-        b = model.predict_proba(probe)
+        a = sigmoid(forward_logits(model.params, probe))
+        b = sigmoid(forward_logits(model.params, probe))
         assert np.array_equal(a, b)
 
     def test_decision_threshold_tie_goes_positive(self):
@@ -173,13 +177,13 @@ class TestTraining:
         b_last = np.zeros_like(params[-1][1])
         model = DnnModel(params=params[:-1] + [(w_last, b_last)], dims=(3, 4, 1))
         probe = np.random.default_rng(6).normal(size=(10, 3))
-        assert np.all(model.predict_proba(probe) == 0.5)
+        assert np.all(sigmoid(forward_logits(model.params, probe)) == 0.5)
         assert np.array_equal(model.predict(probe), np.ones(10, dtype=np.int64))
 
     def test_epoch_budget_respected(self):
         x, y = make_blobs(seed=309, n=30, d=3)
         xv, yv = make_blobs(seed=310, n=12, d=3)
-        model = train_dnn(x, y, xv, yv, epochs=5, patience=50, seed=1)
+        model = _fit_dnn(x, y, xv, yv, epochs=5, patience=50, seed=1)
         assert model.meta.epochs_run == 5
         assert len(model.val_loss_history) == 5
         assert model.meta.early_stopped is False
@@ -192,7 +196,7 @@ class TestReferenceBits:
 
     @staticmethod
     def _check(x, y, xv, yv, **kwargs):
-        model = train_dnn(x, y, xv, yv, **kwargs)
+        model = _fit_dnn(x, y, xv, yv, **kwargs)
         params, history, best_epoch, epochs_run, early_stopped = (
             _reference_train_dnn(x, y, xv, yv, **kwargs))
         assert _param_bytes(model.params) == _param_bytes(params)

@@ -22,16 +22,11 @@ from voicebench.models import (
 )
 from voicebench.models import forest, svm
 from voicebench.models.base import binomial_deviance, sigmoid
-from voicebench.models.boosting import (
-    _MIN_IMPROVEMENT,
-    _friedman_gain,
-    train_gradient_boosting,
-)
+from voicebench.models.boosting import _MIN_IMPROVEMENT, _friedman_gain
 from voicebench.models.forest import (
     _LEVEL_ENTRIES,
     ForestModel,
     Nodes,
-    Tree,
     _neg_gini,
     best_splits,
     grow,
@@ -252,7 +247,7 @@ class TestLogreg:
         model = train_logreg(x, y)
         assert model.meta.converged
         assert np.array_equal(model.predict(x), y)
-        proba = model.predict_proba(x)
+        proba = sigmoid(model.decision(x))
         assert np.all((proba > 0) & (proba < 1))
 
     def test_stronger_penalty_shrinks_weights(self):
@@ -348,6 +343,20 @@ class TestSvm:
                               @ model.dual_coef + model.bias)
 
 
+def _trees(nodes: Nodes) -> list[Nodes]:
+    """Each tree's own Nodes."""
+    return nodes.cut(nodes.bounds.size - 1)
+
+
+def _one_tree(feature, threshold, left, right, value) -> Nodes:
+    return Nodes(feature, threshold, left, right, value, np.array([0, len(feature)]))
+
+
+def _gb(features, labels, **params):
+    """One gb model fitted through the registry."""
+    return fit(ClassifierSpec("gb", params), (features, labels))
+
+
 def _stump(threshold: float, left_value: float, right_value: float) -> Nodes:
     return Nodes(
         feature=np.array([0, -1, -1]),
@@ -395,7 +404,7 @@ class TestForest:
         b = train_random_forest(x, y, seed=2)
         differs = any(
             not np.array_equal(ta.threshold, tb.threshold)
-            for ta, tb in zip(a.trees, b.trees)
+            for ta, tb in zip(_trees(a.nodes), _trees(b.nodes))
         )
         assert differs
 
@@ -417,12 +426,12 @@ class TestForest:
 class TestBoosting:
     def test_base_score_is_log_odds(self):
         x = np.arange(4.0).reshape(-1, 1)
-        model = train_gradient_boosting(x, np.array([0, 1, 1, 1]), n_estimators=2)
+        model = _gb(x, np.array([0, 1, 1, 1]), n_estimators=2)
         assert abs(model.base_score - math.log(3.0)) < 1e-12
 
     def test_deviance_path_descends(self):
         x, y = make_blobs(seed=50, n=60, d=3, sep=1.0, std=1.0)
-        model = train_gradient_boosting(x, y, n_estimators=40)
+        model = _gb(x, y, n_estimators=40)
         path = np.asarray(deviance_path(model, x, y))
         assert path.size == 41  # initial value plus one per stage
         assert abs(path[0] - binomial_deviance(y.astype(float),
@@ -432,22 +441,41 @@ class TestBoosting:
 
     def test_depth_limit_caps_leaves(self):
         x, y = make_blobs(seed=51, n=80, d=5, sep=0.3, std=1.5)
-        model = train_gradient_boosting(x, y, n_estimators=10, max_depth=3)
-        for tree in model.trees:
+        model = _gb(x, y, n_estimators=10, max_depth=3)
+        for tree in _trees(model.nodes):
             n_leaves = int(np.sum(tree.feature == -1))
             assert 1 <= n_leaves <= 8
 
     def test_separates_blobs(self):
         x, y = make_blobs(seed=52, n=60, d=3)
-        model = train_gradient_boosting(x, y)
+        model = _gb(x, y)
         assert np.array_equal(model.predict(x), y)
 
     def test_deterministic(self):
         x, y = make_blobs(seed=53, n=40, d=3, sep=0.7, std=1.2)
-        a = train_gradient_boosting(x, y, n_estimators=15)
-        b = train_gradient_boosting(x, y, n_estimators=15)
+        a = _gb(x, y, n_estimators=15)
+        b = _gb(x, y, n_estimators=15)
         assert a.base_score == b.base_score
         assert np.array_equal(a.raw_scores(x), b.raw_scores(x))
+
+    def test_raw_scores_match_tree_by_tree_sum(self):
+        # raw_scores adds the trees as one running sum over a stacked array;
+        # its bytes must be those of adding them onto the base score in turn
+        rng = np.random.default_rng(54)
+        for case in range(25):
+            runs, n, d = int(rng.integers(1, 5)), int(rng.integers(4, 40)), int(rng.integers(1, 6))
+            x = np.round(rng.normal(size=(runs, n, d)), int(rng.integers(1, 3)))
+            y = rng.integers(0, 2, size=(runs, n))
+            y[:, :2] = (0, 1)
+            params = {"n_estimators": int(rng.integers(1, 40)),
+                      "learning_rate": float(rng.uniform(0.01, 1.0)),
+                      "max_depth": int(rng.integers(1, 5))}
+            probe = rng.normal(0.0, 2.0, size=(int(rng.integers(0, 30)), d))
+            for model in fit_block(ClassifierSpec("gb", params), list(zip(x, y))):
+                scores = np.full(probe.shape[0], model.base_score)
+                for values in leaf_values(model.nodes, probe):
+                    scores += model.learning_rate * values
+                assert model.raw_scores(probe).tobytes() == scores.tobytes()
 
 
 def _tree_digest(trees) -> str:
@@ -474,20 +502,20 @@ class TestTreeBits:
         pinned = "090879d2e6c1b21c01b5b4d7e9c1aff0d69488baedcab9c116cffc05a7b9b7fb"
         assert _tree_digest(_reference_forest(x, y, seed=5)) == pinned
         model = train_random_forest(x, y, seed=5)
-        assert _tree_digest(model.trees) == pinned
+        assert _tree_digest(_trees(model.nodes)) == pinned
 
     def test_forest_matches_reference_across_batches(self):
         x, y = make_blobs(seed=63, n=178, d=22, sep=0.3, std=1.5)
         x = np.round(x, 1)
         assert _LEVEL_ENTRIES // (178 * 22) < 45  # 45 trees make several batches
         model = train_random_forest(x, y, n_estimators=45, seed=9)
-        assert _tree_digest(model.trees) == _tree_digest(
+        assert _tree_digest(_trees(model.nodes)) == _tree_digest(
             _reference_forest(x, y, seed=9, n_estimators=45))
 
     def test_boosting_trees_bit_identical(self):
         x, y = self._tied_blobs()
-        model = train_gradient_boosting(x, y)
-        assert _tree_digest(model.trees) == (
+        model = _gb(x, y)
+        assert _tree_digest(_trees(model.nodes)) == (
             "f2ca9587b220c7d39ed3dee7d4afdc7805f90d02f305d81dc225e7c7926dcc12")
 
 
@@ -543,7 +571,7 @@ def _preorder_tree(root):
         return at
 
     visit(root)
-    return Tree(*(np.asarray(arrays[name], dtype=dtype) for name, dtype in (
+    return _one_tree(*(np.asarray(arrays[name], dtype=dtype) for name, dtype in (
         ("feature", np.int64), ("threshold", np.float64), ("left", np.int64),
         ("right", np.int64), ("value", np.float64))))
 
@@ -568,15 +596,16 @@ class TestForestWidePredict:
             x, probe = np.round(x, decimals), np.round(probe, decimals)
         probe = np.vstack([probe, x])  # training rows sit on thresholds' sides exactly
         forest_model = train_random_forest(x, y, n_estimators=30, seed=4)
-        walked = np.array([[_walk(tree, row) for row in probe] for tree in forest_model.trees])
+        walked = np.array([[_walk(tree, row) for row in probe]
+                           for tree in _trees(forest_model.nodes)])
         assert np.array_equal(leaf_values(forest_model.nodes, probe), walked)
         for tree, expected in zip(forest_model.nodes.cut(30)[:5], walked):
             assert np.array_equal(leaf_values(tree, probe)[0], expected)
         votes = walked.sum(axis=0)
         assert np.array_equal(forest_model.predict(probe), (2 * votes >= 30).astype(int))
-        boost = train_gradient_boosting(x, y, n_estimators=25)
+        boost = _gb(x, y, n_estimators=25)
         scores = np.full(probe.shape[0], boost.base_score)
-        for tree in boost.trees:
+        for tree in _trees(boost.nodes):
             scores += boost.learning_rate * np.array([_walk(tree, row) for row in probe])
         assert boost.raw_scores(probe).tobytes() == scores.tobytes()
 
@@ -611,7 +640,7 @@ def _stack_preorder(levels, leaf_of_row):
     parts = [a[walk] for a in (feature, threshold, np.where(split, local[left], -1),
                                np.where(split, local[left + 1], -1))]
     bounds = offset.tolist() + [walk.size]
-    trees = [Tree(*(a[lo:hi] for a in parts), np.zeros(hi - lo))
+    trees = [_one_tree(*(a[lo:hi] for a in parts), np.zeros(hi - lo))
              for lo, hi in zip(bounds, bounds[1:])]
     return trees, np.where(leaf_of_row >= 0, local[leaf_of_row], -1)
 
@@ -698,31 +727,17 @@ class TestFlatLayout:
         model = train_random_forest(x, y, n_estimators=25, seed=3)
         assert len(batches) > 1
         for nodes, leaf, weights in batches:
-            trees = [Tree(*(np.array(a) for a in (tree.feature, tree.threshold, tree.left,
-                                                   tree.right)), np.zeros(tree.value.size))
-                     for tree in nodes.trees]
+            trees = [_one_tree(*(np.array(a) for a in (tree.feature, tree.threshold, tree.left,
+                                                        tree.right)), np.zeros(tree.value.size))
+                     for tree in _trees(nodes)]
             local = np.where(leaf >= 0, leaf - nodes.bounds[:-1, None], -1)
             _vote_per_tree(trees, local, weights, y)
-            assert _tree_digest(trees) == _tree_digest(nodes.trees)
+            assert _tree_digest(trees) == _tree_digest(_trees(nodes))
         assert _flat_bytes(model.nodes) == _flat_bytes(join([nodes for nodes, _, _ in batches]))
         monkeypatch.setattr(forest, "grow", engine)
         block = [(x[0:120:2], y[0:120:2]), (x[1:120:2], y[1:120:2])]
         fit_block(ClassifierSpec("gb", {"n_estimators": 5}), block)
         assert len(checked) == len(batches) + 5
-
-    def test_fit_and_predict_build_no_tree(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a Tree was built on the fit or predict path")
-
-        monkeypatch.setattr(forest, "Tree", refuse)
-        x, y = make_blobs(seed=83, n=40, d=4, sep=0.5, std=1.5)
-        for kind in ("rf", "gb"):
-            fit(ClassifierSpec(kind, {"n_estimators": 5}), (x, y), seed=1).predict(x)
-        for model in fit_block(ClassifierSpec("gb", {"n_estimators": 5}),
-                               [(x, y), (x[::-1], y[::-1])]):
-            model.predict(x)
-        with pytest.raises(AssertionError):
-            fit(ClassifierSpec("rf", {"n_estimators": 2}), (x, y)).trees
 
 
 class TestForestCost:
@@ -744,11 +759,11 @@ class TestForestCost:
 
         monkeypatch.setattr(forest, "best_splits", spy)
         model = train_random_forest(x, y, seed=2)
-        levels = 1 + max(_depth(tree) for tree in model.trees)
+        levels = 1 + max(_depth(tree) for tree in _trees(model.nodes))
         batches = math.ceil(100 / max(1, _LEVEL_ENTRIES // (178 * 22)))
         assert len(calls) <= levels * batches
         # each call covers many nodes: every split node was searched
-        assert sum(calls) >= sum(int(np.sum(t.feature != -1)) for t in model.trees)
+        assert sum(calls) >= sum(int(np.sum(t.feature != -1)) for t in _trees(model.nodes))
 
     def test_fit_memory_peak(self):
         x, y = self._bench_shaped()
@@ -769,8 +784,8 @@ class TestBoostingEngine:
     def test_bench_shaped_trees_bit_identical(self):
         # pinned before the engine's per-level work was cut
         x, y = TestForestCost._bench_shaped()
-        model = train_gradient_boosting(np.round(x, 1), y)
-        assert _tree_digest(model.trees) == (
+        model = _gb(np.round(x, 1), y)
+        assert _tree_digest(_trees(model.nodes)) == (
             "46bcf7433c17f695115fa33b91b9a6ffa5f6c46cd1d555a9cf56c8f9fbc6198c")
 
     def test_matches_reference_tree(self):
@@ -787,7 +802,7 @@ class TestBoostingEngine:
                 nodes, (leaf_of_row,) = grow(
                     x, presort(x), targets, lambda count: np.arange(d)[None].repeat(count, axis=0),
                     _friedman_gain, _MIN_IMPROVEMENT, max_depth=max_depth)
-                (tree,) = nodes.trees
+                (tree,) = _trees(nodes)
                 expected, expected_leaf_of_row, levels_mixed = _reference_boost_tree(
                     x, targets, max_depth)
                 assert _tree_digest([tree]) == _tree_digest([expected])
@@ -804,7 +819,7 @@ class TestBoostingEngine:
             return best_splits(*args, **kwargs)
 
         monkeypatch.setattr(forest, "best_splits", spy)
-        train_gradient_boosting(x, y, n_estimators=20, max_depth=3)
+        _gb(x, y, n_estimators=20, max_depth=3)
         assert 20 <= len(calls) <= 3 * 20
 
 
@@ -814,7 +829,7 @@ class TestBoostingBlock:
 
     @staticmethod
     def _bytes(model):
-        return model.base_score.hex(), [_tree_digest([tree]) for tree in model.trees]
+        return model.base_score.hex(), [_tree_digest([tree]) for tree in _trees(model.nodes)]
 
     def _assert_runs_match(self, block, params=None):
         spec = ClassifierSpec("gb", params or {})
@@ -836,7 +851,7 @@ class TestBoostingBlock:
         x, y = self._block(71, 3)
         y[0] = x[0, :, 0] > 0  # one split separates run 0: its leaves close at depth 1
         models = self._assert_runs_match([(x[t], y[t]) for t in range(3)])
-        assert _depth(models[0].trees[0]) == 1 < _depth(models[1].trees[0])
+        assert _depth(_trees(models[0].nodes)[0]) == 1 < _depth(_trees(models[1].nodes)[0])
 
     def test_tied_and_constant_columns(self):
         x, y = self._block(72, 4)
@@ -849,8 +864,8 @@ class TestBoostingBlock:
         x, y = self._block(73, 3, n=30)
         models = self._assert_runs_match([(x[t], y[t]) for t in range(3)],
                                          {"n_estimators": 7, "max_depth": 5})
-        assert all(len(model.trees) == 7 for model in models)
-        assert max(_depth(tree) for model in models for tree in model.trees) > 3
+        assert all(len(_trees(model.nodes)) == 7 for model in models)
+        assert max(_depth(tree) for model in models for tree in _trees(model.nodes)) > 3
 
     def test_block_of_one(self):
         x, y = make_blobs(seed=74, n=60, d=5, sep=0.4, std=1.3)
@@ -914,9 +929,9 @@ def _reference_boost_tree(features, targets, max_depth=None):
         return at
 
     visit(root)
-    tree = Tree(*(np.asarray(a, dtype=t) for a, t in zip(arrays, (np.int64, np.float64,
-                                                                  np.int64, np.int64))),
-                np.zeros(len(arrays[0])))
+    tree = _one_tree(*(np.asarray(a, dtype=t) for a, t in zip(arrays, (np.int64, np.float64,
+                                                                       np.int64, np.int64))),
+                     np.zeros(len(arrays[0])))
     return tree, leaf_of_row, mixed
 
 
