@@ -17,10 +17,11 @@ Minimal weighted Gini impurity wins, ties going to the first candidate,
 then the first boundary; a node stays a leaf once it is pure or no
 candidate separates its rows.
 
-Fitted trees stay flat (Nodes): one set of node arrays with every tree in
-preorder, trees end to end. grow numbers a batch's nodes in preorder level
-by level, and leaf_values walks every tree at once, so neither the engine
-nor prediction takes a Python step per tree or per node.
+Fitted trees stay flat (Nodes): one set of node arrays, trees end to end,
+each tree's nodes in the breadth-first order grow makes them. A tree's k-th
+split has its children at 2k + 1 and 2k + 2 of the tree, so no child link
+is stored. leaf_values walks every tree at once, so neither the engine nor
+prediction takes a Python step per tree or per node.
 """
 from __future__ import annotations
 
@@ -38,20 +39,19 @@ _LEAF = -1
 _LEVEL_ENTRIES = 40_000
 
 
-_ARRAYS = ("feature", "threshold", "left", "right", "value")
+_ARRAYS = ("feature", "threshold", "value")
 
 
 @dataclass
 class Nodes:
-    """Trees end to end, each in preorder: tree t holds nodes bounds[t] to
-    bounds[t + 1], and its child links count from its own first node, so
-    cut(trees) gives each tree's own Nodes. feature == -1 marks a leaf, and
-    value holds its vote or score."""
+    """Trees end to end, each breadth-first: tree t holds nodes bounds[t] to
+    bounds[t + 1], and its k-th split (counting from 0) has its children at
+    2k + 1 (left) and 2k + 2 of the tree, so a tree of s splits holds
+    2s + 1 nodes and cut(trees) gives each tree's own Nodes. feature == -1
+    marks a leaf, and value holds its vote or score."""
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
     bounds: np.ndarray
 
@@ -81,18 +81,18 @@ def join(parts, order=None) -> Nodes:
 
 def leaf_values(nodes: Nodes, features: np.ndarray) -> np.ndarray:
     """(trees, rows) value of the leaf each row reaches in each tree; all
-    trees walk at once, one depth level per step. x <= threshold goes left."""
-    first = nodes.bounds[:-1]
-    leaf = nodes.feature == _LEAF
-    offset = np.repeat(first, np.diff(nodes.bounds))
-    # a row at a leaf stays there
-    left, right = (np.where(leaf, np.arange(leaf.size), links + offset)
-                   for links in (nodes.left, nodes.right))
+    trees walk at once, one depth level per step. x <= threshold goes left,
+    any other x (NaN too) right."""
+    split = nodes.feature != _LEAF
+    first = np.repeat(nodes.bounds[:-1], np.diff(nodes.bounds))
+    before = split.cumsum() - split  # splits before each node
+    # a split's left child, the right one next to it; a row at a leaf stays there
+    left = np.where(split, first + 2 * (before - before[first]) + 1, np.arange(split.size))
     rows = np.arange(features.shape[0])
-    node = np.repeat(first[:, None], rows.size, axis=1)
-    while not leaf[node].all():
-        go_left = features[rows, nodes.feature[node]] <= nodes.threshold[node]
-        node = np.where(go_left, left[node], right[node])
+    node = np.repeat(nodes.bounds[:-1, None], rows.size, axis=1)
+    while (inner := split[node]).any():
+        right = ~(features[rows, nodes.feature[node]] <= nodes.threshold[node])
+        node = left[node] + (inner & right)
     return nodes.value[node]
 
 
@@ -220,7 +220,7 @@ def grow(features, layout, targets, columns, gain, floor: float, weights=None,
         kid = 2 * split.cumsum() - 2  # children of a level's q-th split: 2q, 2q + 1
         levels.append((tree, feature, threshold))
         if not split.any():
-            return _preorder(levels, node_of.reshape(n_trees, n))
+            return _by_tree(levels, node_of.reshape(n_trees, n))
         seg = np.arange(tree.size).repeat(size)
         keep = split[seg]
         s0, r0 = seg[keep], rows[0][keep]
@@ -239,39 +239,16 @@ def grow(features, layout, targets, columns, gain, floor: float, weights=None,
         tree = tree[split].repeat(2)
 
 
-def _preorder(levels, leaf_of_row):
-    """Nodes in preorder (node, left subtree, right subtree), trees end to
-    end, and each row's node in them (or -1). levels holds each depth's
-    (tree, feature, threshold) in (tree, breadth-first) order; a node's id
-    counts level after level."""
-    # a level holds the children of the level above's splits, in order: the
-    # q-th split's at 2q and 2q + 1. Subtree sizes bottom-up:
-    split = [feature != _LEAF for _, feature, _ in levels]
-    size = [np.ones(split[-1].size, dtype=np.int64)]
-    for above in split[-2::-1]:
-        here = np.ones(above.size, dtype=np.int64)
-        here[above] += size[0][0::2] + size[0][1::2]
-        size.insert(0, here)
-    # positions top-down: roots in tree order, a left child right after its
-    # parent, the right child after the left subtree
-    at = [size[0].cumsum() - size[0]]
-    for above, below in zip(split, size[1:]):
-        here = np.empty(below.size, dtype=np.int64)
-        here[0::2] = at[-1][above] + 1
-        here[1::2] = here[0::2] + below[0::2]
-        at.append(here)
-    at = np.concatenate(at)
+def _by_tree(levels, leaf_of_row):
+    """Nodes tree after tree, each tree's breadth-first, and each row's node
+    in them (or -1). levels holds each depth's (tree, feature, threshold) in
+    (tree, breadth-first) order; a node's id counts level after level."""
     tree, feature, threshold = (np.concatenate(a) for a in zip(*levels))
-    split = feature != _LEAF
-    offset = at[:leaf_of_row.shape[0]]  # the first level holds the roots
-    # past the roots, ids run in pairs: the children of each split in turn
-    links = np.full((2, at.size), _LEAF)
-    links[:, split] = (at[offset.size:].reshape(-1, 2) - offset[tree[split], None]).T
-    walk = np.empty_like(at)
-    walk[at] = np.arange(at.size)
-    left, right = links[:, walk]
-    nodes = Nodes(feature[walk], threshold[walk], left, right, np.zeros(at.size),
-                  np.append(offset, at.size))
+    walk = tree.argsort(kind="stable")
+    at = np.empty_like(walk)
+    at[walk] = np.arange(walk.size)
+    size = np.bincount(tree, minlength=leaf_of_row.shape[0])
+    nodes = Nodes(feature[walk], threshold[walk], np.zeros(walk.size), np.append(0, size.cumsum()))
     return nodes, np.where(leaf_of_row >= 0, at[leaf_of_row], -1)
 
 

@@ -47,7 +47,6 @@ class SvmModel:
     gamma: float
     meta: TrainMeta
     alphas: np.ndarray = None        # full training alphas, kept for audits
-    train_labels_pm: np.ndarray = None
 
     def decision(self, features: np.ndarray) -> np.ndarray:
         features = check_predict_input(features, self.support_vectors.shape[1])
@@ -188,5 +187,4 @@ def train_svm_smo(
         gamma=gamma,
         meta=meta,
         alphas=state.alpha,
-        train_labels_pm=z,
     )

@@ -27,7 +27,6 @@ from .special import chi2_sf, f_sf, normal_sf
 class TestResult:
     statistic: float
     p_value: float
-    test_name: str
     df: object = None  # int, tuple, or None depending on the test
 
 
@@ -101,13 +100,13 @@ def shapiro_wilk(values) -> TestResult:
     if n == 3:
         p = _PI6 * (math.asin(math.sqrt(w)) - _STQR)
         p = min(max(p, 0.0), 1.0)
-        return TestResult(w, p, "shapiro-wilk")
+        return TestResult(w, p)
 
     y = math.log(1.0 - w)
     if n <= 11:
         gamma = -2.273 + 0.459 * n
         if y >= gamma:
-            return TestResult(w, 1e-19, "shapiro-wilk")
+            return TestResult(w, 1e-19)
         y = -math.log(gamma - y)
         mu = _polyval(_C3, float(n))
         sigma = math.exp(_polyval(_C4, float(n)))
@@ -115,7 +114,7 @@ def shapiro_wilk(values) -> TestResult:
         ln_n = math.log(n)
         mu = _polyval(_C5, ln_n)
         sigma = math.exp(_polyval(_C6, ln_n))
-    return TestResult(w, normal_sf((y - mu) / sigma), "shapiro-wilk")
+    return TestResult(w, normal_sf((y - mu) / sigma))
 
 
 def _as_groups(groups) -> list[np.ndarray]:
@@ -152,10 +151,10 @@ def levene(groups) -> TestResult:
     df = (k - 1, n_total - k)
     if within == 0.0:
         if between == 0.0:
-            return TestResult(0.0, 1.0, "levene", df)
-        return TestResult(math.inf, 0.0, "levene", df)
+            return TestResult(0.0, 1.0, df)
+        return TestResult(math.inf, 0.0, df)
     stat = between / within
-    return TestResult(stat, f_sf(stat, df[0], df[1]), "levene", df)
+    return TestResult(stat, f_sf(stat, df[0], df[1]), df)
 
 
 def midranks(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +197,7 @@ def kruskal_wallis(groups) -> TestResult:
     if correction <= 0.0:
         raise AllTied("every pooled value is identical; ranks carry no signal")
     h /= correction
-    return TestResult(h, chi2_sf(h, k - 1), "kruskal-wallis", k - 1)
+    return TestResult(h, chi2_sf(h, k - 1), k - 1)
 
 
 def dunn_bonferroni(groups) -> PairwiseMatrix:

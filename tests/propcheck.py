@@ -122,7 +122,7 @@ def check_svm_feasibility(seed: int):
     y = np.concatenate([y, y[dup]])
 
     model = train_svm_smo(x, y)
-    a, z = model.alphas, model.train_labels_pm
+    a, z = model.alphas, np.where(y == 1, 1.0, -1.0)
     assert np.all(a >= 0.0) and np.all(a <= 1.0)
     assert abs(float(np.sum(a * z))) <= 1e-6
     decision = rbf_kernel(x, x, model.gamma) @ (a * z) + model.bias

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -291,7 +293,7 @@ class TestSvm:
     def test_dual_feasibility_on_blobs(self):
         x, y = make_blobs(seed=30, n=80, d=3, sep=1.5, std=1.0)
         model = train_svm_smo(x, y)
-        z = model.train_labels_pm
+        z = np.where(y == 1, 1.0, -1.0)
         assert np.all(model.alphas >= 0.0)
         assert np.all(model.alphas <= 1.0)
         assert abs(float(np.sum(model.alphas * z))) < 1e-9
@@ -343,13 +345,39 @@ class TestSvm:
                               @ model.dual_coef + model.bias)
 
 
-def _trees(nodes: Nodes) -> list[Nodes]:
-    """Each tree's own Nodes."""
-    return nodes.cut(nodes.bounds.size - 1)
+class _Preorder(NamedTuple):
+    """One tree in preorder (node, left subtree, right subtree), as the
+    per-node references lay trees out: child links count from the root,
+    and are -1 at leaves."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
 
-def _one_tree(feature, threshold, left, right, value) -> Nodes:
-    return Nodes(feature, threshold, left, right, value, np.array([0, len(feature)]))
+def _preorder(tree: Nodes):
+    """A one-tree Nodes as _Preorder arrays, and each node's position in
+    them. The k-th split of a breadth-first tree has its children at 2k + 1
+    and 2k + 2."""
+    split = tree.feature != -1
+    kid = 2 * split.cumsum() - 1
+    walk, stack = [], [0]
+    while stack:
+        walk.append(stack.pop())
+        if split[walk[-1]]:
+            stack += (kid[walk[-1]] + 1, kid[walk[-1]])
+    walk = np.array(walk)
+    at = np.empty_like(walk)
+    at[walk] = np.arange(walk.size)
+    links = [np.where(split, at[np.where(split, kid + side, 0)], -1)[walk] for side in (0, 1)]
+    return _Preorder(tree.feature[walk], tree.threshold[walk], *links, tree.value[walk]), at
+
+
+def _trees(nodes: Nodes) -> list[_Preorder]:
+    """Each tree of nodes in preorder."""
+    return [_preorder(tree)[0] for tree in nodes.cut(nodes.bounds.size - 1)]
 
 
 def _gb(features, labels, **params):
@@ -361,8 +389,6 @@ def _stump(threshold: float, left_value: float, right_value: float) -> Nodes:
     return Nodes(
         feature=np.array([0, -1, -1]),
         threshold=np.array([threshold, 0.0, 0.0]),
-        left=np.array([1, -1, -1]),
-        right=np.array([2, -1, -1]),
         value=np.array([0.0, left_value, right_value]),
         bounds=np.array([0, 3]),
     )
@@ -418,9 +444,9 @@ class TestForest:
 
     def test_stump_routing(self):
         tree = _stump(0.5, -1.0, 2.0)
-        out = leaf_values(tree, np.array([[0.4], [0.5], [0.6]]))[0]
-        # x <= threshold goes left
-        assert np.array_equal(out, [-1.0, -1.0, 2.0])
+        out = leaf_values(tree, np.array([[0.4], [0.5], [0.6], [np.nan]]))[0]
+        # x <= threshold goes left, anything else (NaN too) right
+        assert np.array_equal(out, [-1.0, -1.0, 2.0, 2.0])
 
 
 class TestBoosting:
@@ -487,9 +513,10 @@ def _tree_digest(trees) -> str:
 
 
 class TestTreeBits:
-    """Pins every bit of grown trees, so a tree-engine change that alters
-    any split, threshold, child link or leaf value fails here. Inputs are
-    rounded to one decimal, so most columns carry heavy ties."""
+    """Pins every bit of grown trees, walked in preorder, so a tree-engine
+    change that alters any split, threshold, child or leaf value fails
+    here. Inputs are rounded to one decimal, so most columns carry heavy
+    ties."""
 
     @staticmethod
     def _tied_blobs():
@@ -571,12 +598,13 @@ def _preorder_tree(root):
         return at
 
     visit(root)
-    return _one_tree(*(np.asarray(arrays[name], dtype=dtype) for name, dtype in (
+    return _Preorder(*(np.asarray(arrays[name], dtype=dtype) for name, dtype in (
         ("feature", np.int64), ("threshold", np.float64), ("left", np.int64),
         ("right", np.int64), ("value", np.float64))))
 
 
 def _walk(tree, row):
+    """The leaf value row reaches in a _Preorder tree; NaN goes right."""
     node = 0
     while tree.feature[node] != -1:
         go_left = row[tree.feature[node]] <= tree.threshold[node]
@@ -594,7 +622,9 @@ class TestForestWidePredict:
         probe = np.random.default_rng(65).normal(0.0, 2.0, size=(60, 5))
         if decimals is not None:
             x, probe = np.round(x, decimals), np.round(probe, decimals)
-        probe = np.vstack([probe, x])  # training rows sit on thresholds' sides exactly
+        holes = probe[:20].copy()  # predict takes NaN cells
+        holes[np.random.default_rng(66).random(holes.shape) < 0.4] = np.nan
+        probe = np.vstack([probe, x, holes])  # training rows sit on thresholds' sides exactly
         forest_model = train_random_forest(x, y, n_estimators=30, seed=4)
         walked = np.array([[_walk(tree, row) for row in probe]
                            for tree in _trees(forest_model.nodes)])
@@ -618,7 +648,7 @@ def _depth(tree, node=0):
 
 def _stack_preorder(levels, leaf_of_row):
     """The per-node stack walk grow laid trees out with before they were
-    kept flat: a list of Trees in preorder and each row's local leaf.
+    kept flat: a list of _Preorder trees and each row's local leaf.
     Each level's splits have their children's ids added as grow added them."""
     base, linked = 0, []
     for tree, feature, threshold in levels:
@@ -640,7 +670,7 @@ def _stack_preorder(levels, leaf_of_row):
     parts = [a[walk] for a in (feature, threshold, np.where(split, local[left], -1),
                                np.where(split, local[left + 1], -1))]
     bounds = offset.tolist() + [walk.size]
-    trees = [_one_tree(*(a[lo:hi] for a in parts), np.zeros(hi - lo))
+    trees = [_Preorder(*(a[lo:hi] for a in parts), np.zeros(hi - lo))
              for lo, hi in zip(bounds, bounds[1:])]
     return trees, np.where(leaf_of_row >= 0, local[leaf_of_row], -1)
 
@@ -656,34 +686,35 @@ def _vote_per_tree(trees, leaf_of_row, weights, labels):
 
 def _flat_bytes(nodes):
     return [(a.dtype.str, np.ascontiguousarray(a).tobytes()) for a in (
-        nodes.feature, nodes.threshold, nodes.left, nodes.right, nodes.value, nodes.bounds)]
+        nodes.feature, nodes.threshold, nodes.value, nodes.bounds)]
 
 
 class TestFlatLayout:
-    """Grown trees stay flat, bit for bit the arrays of the per-node stack
-    walk and per-tree vote loop they replaced."""
+    """Grown trees stay flat: walked in preorder, bit for bit the trees of
+    the per-node stack walk and per-tree vote loop they replaced."""
 
     @pytest.fixture
     def checked(self, monkeypatch):
-        """Compares every _preorder call with the stack walk; yields the count."""
+        """Compares every _by_tree call with the stack walk; yields the count."""
         calls = []
-        flat = forest._preorder
+        flat = forest._by_tree
 
         def spy(levels, leaf_of_row):
             nodes, leaf = flat(levels, leaf_of_row)
             trees, local = _stack_preorder(levels, leaf_of_row)
             bounds = np.cumsum([0] + [tree.feature.size for tree in trees])
-            expected = Nodes(*(np.concatenate([getattr(tree, name) for tree in trees])
-                               for name in ("feature", "threshold", "left", "right", "value")),
-                             bounds)
-            assert _flat_bytes(nodes) == _flat_bytes(expected)
-            offsets = bounds[:-1, None].repeat(local.shape[1], axis=1)
-            assert leaf.tobytes() == np.where(local >= 0, local + offsets, -1).tobytes()
+            assert nodes.bounds.dtype == bounds.dtype and np.array_equal(nodes.bounds, bounds)
             assert leaf.dtype == local.dtype
+            for tree, row_leaf, expected, expected_leaf, first in zip(
+                    nodes.cut(len(trees)), leaf, trees, local, bounds.tolist()):
+                walked, at = _preorder(tree)
+                assert _tree_digest([walked]) == _tree_digest([expected])
+                row_leaf = np.append(at, -1)[np.where(row_leaf >= 0, row_leaf - first, -1)]
+                assert row_leaf.tobytes() == expected_leaf.tobytes()
             calls.append(len(trees))
             return nodes, leaf
 
-        monkeypatch.setattr(forest, "_preorder", spy)
+        monkeypatch.setattr(forest, "_by_tree", spy)
         return calls
 
     @pytest.mark.parametrize("max_depth", [3, None])
@@ -713,6 +744,34 @@ class TestFlatLayout:
                  _friedman_gain, _MIN_IMPROVEMENT, max_depth=max_depth)
         assert len(checked) == 12
 
+    def test_children_are_implied_by_split_order(self):
+        """Nodes stores no child links: a tree slice of s splits holds
+        2s + 1 nodes, its k-th split's children sit at 2k + 1 and 2k + 2 of
+        the slice, and walking a training row through them reaches the leaf
+        grow gave that row."""
+        assert [f.name for f in dataclasses.fields(Nodes)] == [
+            "feature", "threshold", "value", "bounds"]
+        rng = np.random.default_rng(83)
+        for case in range(12):
+            n, d, trees = int(rng.integers(2, 60)), int(rng.integers(1, 7)), int(rng.integers(1, 9))
+            x = np.round(rng.normal(size=(n, d)), int(rng.integers(0, 3)))
+            weights = np.stack([np.bincount(rng.integers(0, n, n), minlength=n)
+                                for _ in range(trees)])
+            nodes, leaf_of_row = grow(x, presort(x), rng.integers(0, 2, n),
+                                      lambda count: np.argsort(rng.random((count, d)), axis=1),
+                                      _neg_gini, -np.inf, weights)
+            for t, (lo, hi) in enumerate(zip(nodes.bounds[:-1], nodes.bounds[1:])):
+                split = nodes.feature[lo:hi] != -1
+                kid = 2 * split.cumsum() - 1  # the left child of each split
+                assert hi - lo == 2 * split.sum() + 1
+                assert np.all((kid[split] > np.flatnonzero(split)) & (kid[split] + 1 < hi - lo))
+                for row in np.flatnonzero(weights[t]):
+                    node = 0
+                    while split[node]:
+                        go_left = x[row, nodes.feature[lo + node]] <= nodes.threshold[lo + node]
+                        node = kid[node] + (not go_left)
+                    assert lo + node == leaf_of_row[t, row]
+
     def test_trainers_match_stack_walk_and_vote_loop(self, checked, monkeypatch):
         x, y = make_blobs(seed=82, n=178, d=22, sep=0.3, std=1.5)
         x = np.round(x, 1)
@@ -727,12 +786,11 @@ class TestFlatLayout:
         model = train_random_forest(x, y, n_estimators=25, seed=3)
         assert len(batches) > 1
         for nodes, leaf, weights in batches:
-            trees = [_one_tree(*(np.array(a) for a in (tree.feature, tree.threshold, tree.left,
-                                                        tree.right)), np.zeros(tree.value.size))
-                     for tree in _trees(nodes)]
+            trees = [Nodes(tree.feature, tree.threshold, np.zeros(tree.value.size), tree.bounds)
+                     for tree in nodes.cut(len(weights))]
             local = np.where(leaf >= 0, leaf - nodes.bounds[:-1, None], -1)
             _vote_per_tree(trees, local, weights, y)
-            assert _tree_digest(trees) == _tree_digest(_trees(nodes))
+            assert _flat_bytes(join(trees)) == _flat_bytes(nodes)
         assert _flat_bytes(model.nodes) == _flat_bytes(join([nodes for nodes, _, _ in batches]))
         monkeypatch.setattr(forest, "grow", engine)
         block = [(x[0:120:2], y[0:120:2]), (x[1:120:2], y[1:120:2])]
@@ -802,11 +860,11 @@ class TestBoostingEngine:
                 nodes, (leaf_of_row,) = grow(
                     x, presort(x), targets, lambda count: np.arange(d)[None].repeat(count, axis=0),
                     _friedman_gain, _MIN_IMPROVEMENT, max_depth=max_depth)
-                (tree,) = _trees(nodes)
+                tree, at = _preorder(nodes)
                 expected, expected_leaf_of_row, levels_mixed = _reference_boost_tree(
                     x, targets, max_depth)
                 assert _tree_digest([tree]) == _tree_digest([expected])
-                assert leaf_of_row.tobytes() == expected_leaf_of_row.tobytes()
+                assert at[leaf_of_row].tobytes() == expected_leaf_of_row.tobytes()
                 mixed += levels_mixed
         assert mixed > 0  # some levels searched open nodes next to closed ones
 
@@ -929,7 +987,7 @@ def _reference_boost_tree(features, targets, max_depth=None):
         return at
 
     visit(root)
-    tree = _one_tree(*(np.asarray(a, dtype=t) for a, t in zip(arrays, (np.int64, np.float64,
+    tree = _Preorder(*(np.asarray(a, dtype=t) for a, t in zip(arrays, (np.int64, np.float64,
                                                                        np.int64, np.int64))),
                      np.zeros(len(arrays[0])))
     return tree, leaf_of_row, mixed
