@@ -152,6 +152,7 @@ def _cmd_run(args, with_analysis: bool) -> int:
         print(f"resuming: {len(existing.records)} rows already present")
 
     progress = None if args.quiet else harness.stderr_progress
+    harness._warm_heap()
     table = run_experiment(config, dataset, existing=existing, progress=progress)
 
     report = analyze(table, config.alpha) if with_analysis else None

@@ -23,6 +23,7 @@ from .errors import (
     MissingColumn,
     NonNumericValue,
     SingleClass,
+    UsageError,
     VoicebenchError,
 )
 
@@ -77,6 +78,8 @@ def load_audio_dataset(root, group_labels: dict[str, int]) -> LabeledDataset:
 
     for group in sorted(group_labels):
         label = group_labels[group]
+        if isinstance(label, bool):  # True == 1, but a flag is no label
+            raise UsageError(f"group {group!r}: label must be 0 or 1, got {label!r}")
         if label not in (0, 1):
             raise InvalidLabel(f"group {group!r}: label must be 0 or 1, got {label!r}")
         group_dir = root / group

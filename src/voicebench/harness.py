@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import itertools
@@ -145,8 +146,8 @@ def load_manifest(path) -> dict[str, int]:
         raise UsageError(f"{path}: manifest needs a non-empty 'groups' object")
     out = {}
     for name, label in groups.items():
-        if label not in (0, 1):
-            raise UsageError(f"{path}: group {name!r} label must be 0 or 1")
+        if isinstance(label, bool) or label not in (0, 1):  # JSON true == 1
+            raise UsageError(f"{path}: group {name!r} label must be 0 or 1, got {label!r}")
         out[str(name)] = int(label)
     return out
 
@@ -348,6 +349,45 @@ def _block_size(runs: int, workers: int, shape) -> int:
     return max(1, min(-(-runs // workers), _LEVEL_ENTRIES // (rows * columns)))
 
 
+def _plan_tasks(pending: dict, runs: int, workers: int, shape) -> list:
+    """(kind, runs) tasks covering every pending run of every kind once.
+
+    The stacked kinds come first, in blocks as large as one engine batch
+    allows: one stack of n runs costs less than two of n / 2. The other
+    kinds fit run by run, so their blocks spread over the workers. Within
+    each group, the i-th block of every kind precedes the (i+1)-th.
+    """
+    tasks = []
+    for stacked in (True, False):
+        size = _block_size(runs, 1 if stacked else workers, shape)
+        group = [(kind, left) for kind, left in pending.items()
+                 if (kind in BLOCK_KINDS) == stacked]
+        tasks += [(kind, left[first:first + size]) for first in range(0, runs, size)
+                  for kind, left in group if left[first:first + size]]
+    return tasks
+
+
+def _warm_heap() -> None:
+    """Keep freed memory in this process's heap for the rest of its life.
+
+    Training frees and reallocates the same level-sized temporaries many
+    times per fit. By default glibc maps those above 128 KiB with mmap and
+    returns a freed heap top to the kernel, so each level faults its pages
+    in again. Here allocations up to 32 MiB (the ceiling of glibc's own
+    dynamic threshold) come from the heap, and it is trimmed only above 64
+    MiB free. Call it once the dataset is loaded, so that ingest's large
+    temporaries still go back to the kernel. Does nothing outside glibc.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return
+    libc = ctypes.CDLL(None)
+    libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 _WORKER_DATASET = None
 _WORKER_PARAMS = None
 _WORKER_SEED = None
@@ -358,6 +398,7 @@ def _worker_init(features, labels, source_name, model_params, base_seed):
     _WORKER_DATASET = LabeledDataset(features, labels, source_name=source_name)
     _WORKER_PARAMS = model_params
     _WORKER_SEED = base_seed
+    _warm_heap()  # a spawned or forkserver worker starts with glibc's defaults
 
 
 def _worker_task(task):
@@ -394,10 +435,7 @@ def run_experiment(
     keys = [(run_index, kind) for run_index in range(config.runs) for kind in config.models]
     pending = {kind: [run_index for run_index in range(config.runs)
                       if (run_index, kind) not in have] for kind in config.models}
-    size = _block_size(config.runs, config.workers, dataset.features.shape)
-    # the i-th block of every kind, then the (i+1)-th
-    tasks = [(kind, runs[first:first + size]) for first in range(0, config.runs, size)
-             for kind, runs in pending.items() if runs[first:first + size]]
+    tasks = _plan_tasks(pending, config.runs, config.workers, dataset.features.shape)
     total = sum(map(len, pending.values()))
     workers = min(config.workers, len(tasks))
     with contextlib.ExitStack() as stack:

@@ -326,6 +326,17 @@ class TestExtract:
         ])
         assert code == 2
 
+    def test_extract_refuses_boolean_group_label(self, audio_corpus, tmp_path, capsys):
+        root, manifest = audio_corpus
+        groups = canonical_loads(Path(manifest).read_text())["groups"]
+        flagged = tmp_path / "manifest.json"
+        flagged.write_text(json.dumps({"groups": {name: label == 1 or 0
+                                                  for name, label in groups.items()}}))
+        code = cli_main(["extract", "--audio-dir", str(root), "--manifest", str(flagged),
+                         "--out", str(tmp_path / "f.csv")])
+        assert code == 1
+        assert "label must be 0 or 1, got True" in capsys.readouterr().err
+
 
 _SRC = str(Path(voicebench.__file__).resolve().parents[1])
 
@@ -412,6 +423,40 @@ class TestBlasThreads:
         assert outputs[0][0].count(b"\n") == 3 + 4 * 5  # all five models ran
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class TestHeapPolicy:
+    def test_helper_cuts_page_faults_and_cli_import_leaves_allocator_alone(self):
+        if not _glibc():
+            pytest.skip("the heap policy sets glibc mallopt thresholds; this C library "
+                        "is not glibc")
+        code = (
+            "import contextlib, io, resource\n"
+            "import numpy as np\n"
+            "import voicebench.cli\n"
+            "from voicebench import harness\n"
+            "def churn():\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    for _ in range(100):\n"
+            "        arrays = [np.ones(32768) for _ in range(8)]  # 256 KiB each, written\n"
+            "        del arrays\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    voicebench.cli.cli_main(['--help'])\n"
+            "cold = churn()\n"
+            "harness._warm_heap()\n"
+            "print(cold, churn())\n")
+        cold, warm = map(int, _run_python(["-c", code], None).stdout.split())
+        # 800 arrays of 64 pages: at glibc's defaults most pages fault each cycle
+        assert cold > 800 * 16
+        assert warm * 10 <= cold
 
 
 class TestBenchTracer:

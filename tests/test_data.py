@@ -21,6 +21,7 @@ from voicebench.errors import (
     MissingColumn,
     NonNumericValue,
     SingleClass,
+    UsageError,
 )
 
 
@@ -81,6 +82,8 @@ class TestAudioLoader:
     def test_bad_group_label(self, tmp_path):
         with pytest.raises(InvalidLabel):
             load_audio_dataset(tmp_path, {"g": 7})
+        with pytest.raises(UsageError, match="'g'"):
+            load_audio_dataset(tmp_path, {"g": True})
 
 
 class TestTabularLoader:

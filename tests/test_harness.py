@@ -33,7 +33,7 @@ from voicebench.harness import (
     write_runs_csv,
 )
 from voicebench.jsonio import canonical_dumps, canonical_loads
-from voicebench.models import fit_block
+from voicebench.models import BLOCK_KINDS, fit_block
 from voicebench.models.forest import _LEVEL_ENTRIES
 
 
@@ -134,6 +134,10 @@ class TestConfig:
             load_manifest(path)
         path.write_text('{"groups": {"a": 0, "b": 1}}')
         assert load_manifest(path) == {"a": 0, "b": 1}
+        # JSON true equals 1 in Python, but a flag is no label
+        path.write_text('{"groups": {"a": 0, "pd": true}}')
+        with pytest.raises(UsageError, match="'pd'"):
+            load_manifest(path)
 
 
 class TestExecuteTask:
@@ -239,6 +243,46 @@ class TestRunExperiment:
         assert harness._block_size(3, 8, (60, 22)) == 1
         assert harness._block_size(1000, 2, (195, 22)) == _LEVEL_ENTRIES // (195 * 22) > 1
         assert harness._block_size(10, 1, (2000, 50)) == 1
+
+    @pytest.mark.parametrize("runs, workers, shape", [
+        (5, 1, (195, 22)), (5, 2, (195, 22)), (5, 3, (12, 13)), (20, 2, (195, 22)),
+        (7, 4, (60, 22)), (3, 8, (60, 22)), (10, 2, (2000, 50))])
+    @pytest.mark.parametrize("resumed_every", [0, 2, 3])
+    def test_task_plan_gives_stacked_kinds_whole_blocks(self, runs, workers, shape,
+                                                       resumed_every):
+        grid = [(run, kind) for run in range(runs) for kind in CANONICAL_KINDS]
+        # a resume finds every resumed_every-th pair missing (0: a fresh run)
+        missing = [pair for i, pair in enumerate(grid) if not resumed_every
+                   or i % resumed_every == 0]
+        pending = {kind: [run for run, k in missing if k == kind] for kind in CANONICAL_KINDS}
+        tasks = harness._plan_tasks(pending, runs, workers, shape)
+        planned = [(run, kind) for kind, block in tasks for run in block]
+        assert sorted(planned) == sorted(missing)  # each pending pair exactly once
+        cap, spread = harness._block_size(runs, 1, shape), harness._block_size(runs, workers, shape)
+        left = {kind: len(block) for kind, block in pending.items()}
+        for kind, block in tasks:
+            if kind in BLOCK_KINDS:
+                assert len(block) == min(left[kind], cap)
+            else:
+                assert 1 <= len(block) <= spread
+            left[kind] -= len(block)
+        stacked = [kind in BLOCK_KINDS for kind, _ in tasks]
+        assert stacked == sorted(stacked, reverse=True)  # stacked tasks first
+
+    def test_run_experiment_executes_the_task_plan(self, tab_config, tab_dataset, monkeypatch):
+        config = dataclasses.replace(tab_config, models=CANONICAL_KINDS)
+        executed = []
+        real = harness.execute_task
+
+        def recording(dataset, model_params, runs, base_seed, kind):
+            executed.append((kind, list(runs)))
+            return real(dataset, model_params, runs, base_seed, kind)
+
+        monkeypatch.setattr(harness, "execute_task", recording)
+        run_experiment(config, dataset=tab_dataset)
+        pending = {kind: list(range(config.runs)) for kind in CANONICAL_KINDS}
+        assert executed == harness._plan_tasks(pending, config.runs, 1, tab_dataset.features.shape)
+        assert executed[0][0] == "gb"
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_resume_completes_missing_pairs(self, tab_config, tab_dataset, workers):

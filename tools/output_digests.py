@@ -8,7 +8,7 @@ SRC_DIR is the directory that holds the voicebench package (a checkout's
 src). The script writes the benchmark inputs of seeds 1 and 7 with
 bench/inputs.py into a temporary directory. In it, each in a fresh process
 with PYTHONPATH=SRC_DIR, it runs `voicebench all --dump-splits` on the table
-and on the WAV corpus at --runs 5 and 40 and --workers 1 and 2, and
+and on the WAV corpus at --runs 5 and 40 and --workers 1, 2 and 3, and
 `voicebench extract` on each corpus. It prints one `sha256  name` line per
 file, sorted by name, for runs.csv, report.json, boxplot_accuracy.csv,
 splits.csv and the features CSV; timings.csv holds wall times and is left
@@ -27,7 +27,7 @@ import inputs  # noqa: E402
 
 SEEDS = (1, 7)
 RUNS = (5, 40)
-WORKERS = (1, 2)
+WORKERS = (1, 2, 3)
 OUTPUTS = ("runs.csv", "report.json", "boxplot_accuracy.csv", "splits.csv")
 
 
