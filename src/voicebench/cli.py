@@ -117,7 +117,7 @@ def _build_config(args) -> ExperimentConfig:
         "runs": args.runs,
         "base_seed": args.base_seed,
         "workers": args.workers,
-        "models": args.models.split(",") if args.models else None,
+        "models": None if args.models is None else [m for m in args.models.split(",") if m],
         "alpha": getattr(args, "alpha", None),
         "output_dir": args.output_dir,
         "dataset": _dataset_overrides(args),
@@ -144,6 +144,10 @@ def _cmd_extract(args) -> int:
 
 def _cmd_run(args, with_analysis: bool) -> int:
     config = _build_config(args)
+    if with_analysis and (len(config.models) < 2 or config.runs < 3):
+        # refused before any training: the analysis would refuse its results
+        raise UsageError("the analysis needs at least 2 models and 3 runs, "
+                         f"got {len(config.models)} and {config.runs}")
     dataset = harness.load_dataset(config.dataset)
     existing = None
     runs_path = Path(config.output_dir) / "runs.csv"

@@ -62,9 +62,10 @@ STREAM_OVERSAMPLE_TRAIN = 1
 STREAM_OVERSAMPLE_VAL = 2
 STREAM_MODEL_BASE = 3
 # Version of how a seed becomes model results; runs.csv fingerprints carry
-# it, so --resume refuses rows of an older protocol. 2: forests draw their
-# columns level by level (models/forest.py).
-SEED_PROTOCOL = 2
+# it, so --resume refuses rows of an older protocol. 3: a forest node's
+# column draws are keyed by its tree and breadth-first index
+# (models/forest.py), not by the level's batch of trees.
+SEED_PROTOCOL = 3
 
 DEFAULT_OUTPUT_ENV = "VOICEBENCH_OUT"
 
@@ -393,12 +394,22 @@ _WORKER_PARAMS = None
 _WORKER_SEED = None
 
 
-def _worker_init(features, labels, source_name, model_params, base_seed):
+def _worker_init(features, labels, source_name, model_params, base_seed, cpus=None):
+    """Set up a pool worker. cpus, a queue of the pool's CPUs, moves the
+    worker once onto the next of them: forked workers start on their
+    parent's CPU, and the scheduler can leave them stacked there."""
     global _WORKER_DATASET, _WORKER_PARAMS, _WORKER_SEED
     _WORKER_DATASET = LabeledDataset(features, labels, source_name=source_name)
     _WORKER_PARAMS = model_params
     _WORKER_SEED = base_seed
     _warm_heap()  # a spawned or forkserver worker starts with glibc's defaults
+    if cpus is not None:
+        cpu = cpus.get()
+        cpus.put(cpu)  # back in line: more workers than CPUs wrap around
+        allowed = os.sched_getaffinity(0)
+        with contextlib.suppress(OSError):  # the CPU set changed since: stay put
+            os.sched_setaffinity(0, {cpu})
+            os.sched_setaffinity(0, allowed)
 
 
 def _worker_task(task):
@@ -442,11 +453,16 @@ def run_experiment(
         if workers > 1:
             import multiprocessing  # only here: every other command starts faster
 
-            pool = stack.enter_context(multiprocessing.get_context().Pool(
+            context, cpus = multiprocessing.get_context(), None
+            if hasattr(os, "sched_setaffinity"):
+                cpus = context.SimpleQueue()
+                for cpu in sorted(os.sched_getaffinity(0)):
+                    cpus.put(cpu)
+            pool = stack.enter_context(context.Pool(
                 processes=workers,
                 initializer=_worker_init,
                 initargs=(dataset.features, dataset.labels, dataset.source_name,
-                          config.model_params, config.base_seed),
+                          config.model_params, config.base_seed, cpus),
             ))
             results = pool.imap(_worker_task, tasks, chunksize=1)
         else:

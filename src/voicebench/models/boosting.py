@@ -65,8 +65,8 @@ def train_gradient_boosting_block(features, labels, n_estimators: int = 100,
 
     every_column = np.arange(d)[None]
 
-    def columns(count):
-        return every_column.repeat(count, axis=0)
+    def columns(tree, index):
+        return every_column.repeat(tree.size, axis=0)
 
     scores = np.array(base)[:, None].repeat(n, axis=1)
     stages = []

@@ -4,18 +4,22 @@ level-wise CART engine it shares with gradient boosting.
 The engine presorts each column once per fit (mergesort: ties keep row
 order) into intp row ids and the sorted values they hold, and grows a batch
 of trees one depth level at a time. One segmented search (best_splits)
-covers every open node of the level: it reads the layout as it stands when
-every node is open and every column a candidate (gradient boosting), and
-gathers each node's candidates otherwise. Children inherit stable
-partitions of their parent's ids and values, carried together.
+covers every open node of the level, in a layout that holds each node's
+rows presorted by each of its candidate columns. Gradient boosting, whose
+nodes search every column, carries that layout down: children inherit
+stable partitions of their parent's ids and values. The forest carries
+only each node's rows and sorts (node, presort position) keys of its open
+nodes' candidate columns at each level.
 
-Seed protocol 2: one rng.integers call draws every bootstrap. Trees grow
-in batches of max(1, _LEVEL_ENTRIES // (n * d)); at each level one
-rng.random draw ranks the columns of every impure node, in (tree,
-breadth-first) order, and a node's first ceil(sqrt(d)) are its candidates.
-Minimal weighted Gini impurity wins, ties going to the first candidate,
-then the first boundary; a node stays a leaf once it is pure or no
-candidate separates its rows.
+Seed protocol 3: one rng.integers call draws every bootstrap. The column
+draws of node b (breadth-first, from 0) of tree t are output f of
+SplitMix64 seeded with output b of SplitMix64 seeded with output t of
+SplitMix64 seeded with the rf seed, for each column f; the node's
+ceil(sqrt(d)) columns of smallest draw, in increasing draw, are its
+candidates. So no draw depends on how trees are batched, and the batch
+size (_RF_ENTRIES) changes no byte. Minimal weighted Gini impurity wins,
+ties going to the first candidate, then the first boundary; a node stays a
+leaf once it is pure or no candidate separates its rows.
 
 Fitted trees stay flat (Nodes): one set of node arrays, trees end to end,
 each tree's nodes in the breadth-first order grow makes them. A tree's k-th
@@ -33,10 +37,14 @@ import numpy as np
 from .base import TrainMeta, check_predict_input
 
 _LEAF = -1
-# Row entries (trees x rows x columns) of a forest batch: caps a fit's
-# working memory near 1 MB (10 trees on a 178 x 22 table). The draws
-# follow the batches, so changing it changes every forest.
+# Entries of a gb stack (runs x rows x columns) or a dnn stack (runs x
+# parameters), and so of a harness block: caps their working memory near
+# 1 MB on a 178 x 22 table.
 _LEVEL_ENTRIES = 40_000
+# Row entries (trees x rows x columns) of a forest batch, chosen by
+# measurement: 25 trees on a 178 x 22 table, a fit's tracemalloc peak
+# 1.8 MiB. No draw follows the batches, so it changes no byte.
+_RF_ENTRIES = 100_000
 
 
 _ARRAYS = ("feature", "threshold", "value")
@@ -124,53 +132,44 @@ def _segment_sums(values, first, size):
     return running, totals.repeat(size, axis=1) - running
 
 
-def best_splits(targets, rows, vals, start, size, candidates, gain, floor: float,
-                weights=None):
-    """(feature, threshold) of each node's best split; feature -1 where no
-    gain(left_sum, right_sum, n_left, n_right) exceeds floor. rows (d, R)
-    holds each column's presorted row ids node after node, and vals their
-    values; node j (2+ rows) sits at [start, start + size), tries
-    candidates[j], and counts a row weights.flat[id] times (or once)."""
-    d, width = rows.shape
+def best_splits(targets, rows, vals, size, gain, floor: float, weights=None):
+    """(slot, threshold) of each node's best split; slot -1 where no
+    gain(left_sum, right_sum, n_left, n_right) exceeds floor. Row s of rows
+    (slots, R) holds every node's row ids presorted by its s-th candidate
+    column, node after node (node j holds size[j] >= 2 of them), and vals
+    their values; a row counts weights.flat[id] times (or once)."""
     first = size.cumsum() - size
     nd = np.arange(size.size).repeat(size)
     span = np.arange(nd.size)
-    if nd.size == width and candidates.shape[1] == d and not (candidates != np.arange(d)).any():
-        r, v = rows, vals  # every node open, every column in order: the layout as it stands
-    else:
-        # (k, width): row i holds every node's rows sorted by its i-th candidate,
-        # in C order (as take returns) so each node's sums stay pairwise per column
-        at = width * candidates[nd].T + (span + (start - first)[nd])
-        r, v = rows.take(at), vals.take(at)
     if weights is None:
-        left_sum, right_sum = _segment_sums(targets.take(r), first, size)
+        left_sum, right_sum = _segment_sums(targets.take(rows), first, size)
         n_left = np.arange(1.0, span.size + 1) - first[nd]  # the same in every column
         n_right = size[nd] - n_left
     else:
-        w = weights.take(r)
-        left_sum, right_sum = _segment_sums(w * targets.take(r), first, size)
+        w = weights.take(rows)
+        left_sum, right_sum = _segment_sums(w * targets.take(rows), first, size)
         n_left, n_right = (count.astype(np.float64) for count in _segment_sums(w, first, size))
     with np.errstate(divide="ignore", invalid="ignore"):  # n_right is 0 at node ends
         gains = gain(left_sum, right_sum, n_left, n_right)
     # only a step up in value splits, never a node's last row (nor the last entry)
-    step = np.empty(v.shape, dtype=bool)
-    np.greater(v.ravel()[1:], v.ravel()[:-1], out=step.ravel()[:-1])
+    step = np.empty(vals.shape, dtype=bool)
+    np.greater(vals.ravel()[1:], vals.ravel()[:-1], out=step.ravel()[:-1])
     step[:, first + size - 1] = False
     np.putmask(gains, ~step, -np.inf)
-    # first maximum in (candidate, boundary) order: the first candidate to
-    # reach the node's best, then its first boundary to do so
+    # first maximum in (slot, boundary) order: the first candidate to reach
+    # the node's best, then its first boundary to do so
     by_node = np.maximum.reduceat(gains, first, axis=1)
     best = np.maximum.reduce(by_node)
     c = (by_node == best).argmax(axis=0)
     hit = np.where(gains.take(c[nd] * span.size + span) == best[nd], span, span.size)
     e = c * span.size + np.minimum.reduceat(hit, first)
-    lo, hi = v.take(e), v.take(e + 1, mode="clip")
+    lo, hi = vals.take(e), vals.take(e + 1, mode="clip")
     cut = 0.5 * (lo + hi)
     # a midpoint of adjacent floats can round onto the right value; the
     # left value then still separates the two rows
     cut = np.where((lo <= cut) & (cut < hi), cut, lo)
     split = best > floor
-    return np.where(split, candidates[np.arange(size.size), c], _LEAF), np.where(split, cut, 0.0)
+    return np.where(split, c, _LEAF), np.where(split, cut, 0.0)
 
 
 def grow(features, layout, targets, columns, gain, floor: float, weights=None,
@@ -178,43 +177,65 @@ def grow(features, layout, targets, columns, gain, floor: float, weights=None,
     """Grow one tree per row of integer weights (one on every row without)
     from a presort layout; returns (Nodes with leaf values 0, leaf_of_row:
     each row's leaf in them, or -1). Nodes below max_depth whose targets
-    differ are searched, with columns(count) giving their candidates in
-    (tree, breadth-first) order.
+    differ are searched, with columns(tree, index) giving the candidates of
+    those nodes: their trees and breadth-first indices within them.
 
-    Without weights, features may be a stack of R runs (R, n, d) with its
-    presort and (R, n) targets: tree t then grows on run t alone, exactly as
-    it would on its own."""
+    Without weights every node searches every column (columns gives them
+    in order), and children inherit stable partitions of their parent's
+    presorted ids and values. features may then be a stack of R runs
+    (R, n, d) with its presort and (R, n) targets: tree t grows on run t
+    alone, exactly as it would on its own. With weights only each node's
+    set of rows is carried, and a level sorts (node, presort position) keys
+    of just its open nodes' candidate columns."""
     rows, vals = layout
     n, d = features.shape[-2:]
     features = features.reshape(-1, d)
     if weights is None:
         size = np.full(rows.shape[1] // n, n)
         node_of, targets = np.arange(size.size).repeat(n), targets.reshape(-1)
+        held = [rows, vals]
     else:
-        # tree t's copy of row i has id t * n + i; a forest batch's layout is
-        # large, so its ids and positions take the smallest integer type
-        present = (weights > 0)[:, rows].transpose(1, 0, 2)  # (d, trees, n)
-        at = np.extract(present, np.broadcast_to(
-            np.arange(d * n, dtype=np.min_scalar_type(d * n - 1)).reshape(d, 1, n), present.shape))
-        size = np.count_nonzero(present[0], axis=1)
-        rows = (rows.take(at).reshape(d, -1) + (n * np.arange(size.size)).repeat(size)).astype(
-            np.min_scalar_type(weights.size - 1))
-        vals = vals.take(at).reshape(d, -1)
+        # place[f, i]: row i's position in the flat presort, in column f's part
+        place = np.empty((d, n), dtype=np.min_scalar_type(d * n - 1))
+        np.put_along_axis(place, rows, np.arange(d * n).reshape(d, n), axis=1)
+        size = np.count_nonzero(weights, axis=1)
+        # tree t's copy of row i has id t * n + i, in a small type that holds n
+        rows = rows.astype(np.min_scalar_type(weights.size))
+        held = [np.flatnonzero(weights).astype(rows.dtype)[None]]
         targets = np.tile(targets, size.size)
         node_of = np.where(weights > 0, np.arange(size.size)[:, None], -1).ravel()
     n_trees = size.size
     tree = np.arange(n_trees)  # a level's nodes in (tree, breadth-first) order
+    index = np.zeros(n_trees, dtype=np.intp)  # each one's breadth-first index in its tree
+    made = np.zeros(n_trees, dtype=np.intp)  # splits each tree has made so far
     levels, base = [], 0
     while True:
         feature, threshold = np.full(tree.size, _LEAF), np.zeros(tree.size)
         if len(levels) != max_depth:
             start = size.cumsum() - size
-            y = targets.take(rows[0])
+            y = targets.take(held[0][0])
             open_ = (np.minimum.reduceat(y, start) < np.maximum.reduceat(y, start)).nonzero()[0]
             if open_.size:
-                feature[open_], threshold[open_] = best_splits(
-                    targets, rows, vals, start[open_], size[open_], columns(open_.size),
-                    gain, floor, weights)
+                candidates, count = columns(tree[open_], index[open_]), size[open_]
+                nd = np.arange(open_.size).repeat(count)
+                part = held if open_.size == tree.size else [
+                    a[:, np.arange(nd.size) + (start[open_] - count.cumsum() + count)[nd]]
+                    for a in held]
+                if weights is None:
+                    r, v = part
+                else:
+                    ids = part[0][0]
+                    i = ids % n
+                    # (node, presort position) keys are unique, so sorting them
+                    # gives each node its rows in every candidate's presorted order
+                    node_key = (nd * (d * n)).astype(np.min_scalar_type(open_.size * d * n - 1))
+                    key = place.take((candidates.T * n)[:, nd] + i) + node_key
+                    key.sort(axis=1)
+                    key -= node_key
+                    r, v = rows.take(key) + (ids - i), vals.take(key)
+                slot, threshold[open_] = best_splits(targets, r, v, count, gain, floor, weights)
+                feature[open_] = np.where(slot == _LEAF, _LEAF,
+                                          candidates[np.arange(open_.size), slot])
         split = feature != _LEAF
         base += tree.size
         kid = 2 * split.cumsum() - 2  # children of a level's q-th split: 2q, 2q + 1
@@ -223,20 +244,26 @@ def grow(features, layout, targets, columns, gain, floor: float, weights=None,
             return _by_tree(levels, node_of.reshape(n_trees, n))
         seg = np.arange(tree.size).repeat(size)
         keep = split[seg]
-        s0, r0 = seg[keep], rows[0][keep]
+        s0, r0 = seg[keep], held[0][0][keep]
         child = kid[s0] + ~(features[r0 % len(features), feature[s0]] <= threshold[s0])
         node_of[r0] = base + child
         if len(levels) != max_depth:
-            # stable partition of every column by child; leaf rows sort last
+            # stable partition of what is held by child; leaf rows sort last
             leaf_key = kid[-1] + 2
             key = np.full(n_trees * n, leaf_key, dtype=np.min_scalar_type(leaf_key))
             key[r0] = child
-            key = key.take(rows).argsort(axis=1, kind="stable")
-            key += rows.shape[1] * np.arange(d)[:, None]
-            rows, vals = rows.take(key[:, :s0.size]), vals.take(key[:, :s0.size])
+            key = key.take(held[0]).argsort(axis=1, kind="stable")[:, :s0.size]
+            key += held[0].shape[1] * np.arange(len(held[0]))[:, None]
+            held = [a.take(key) for a in held]
             size = np.bincount(child, minlength=leaf_key)
             del key
-        tree = tree[split].repeat(2)
+        # a tree's q-th split has its children at 2q + 1 and 2q + 2 of the tree
+        tree = tree[split]
+        count = np.bincount(tree, minlength=n_trees)
+        q = (made - count.cumsum() + count)[tree] + np.arange(tree.size)
+        made += count
+        index = (2 * q[:, None] + (1, 2)).ravel()
+        tree = tree.repeat(2)
 
 
 def _by_tree(levels, leaf_of_row):
@@ -252,13 +279,30 @@ def _by_tree(levels, leaf_of_row):
     return nodes, np.where(leaf_of_row >= 0, at[leaf_of_row], -1)
 
 
+def _splitmix(state, counter):
+    """Output counter (from 0) of SplitMix64 seeded with state, elementwise on
+    uint64 arrays, wrapping modulo 2 ** 64."""
+    z = state + (counter.astype(np.uint64) + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def _neg_gini(left_pos, right_pos, n_left, n_right):
-    """Minus the size-weighted Gini impurity of the two children."""
-    p_l = left_pos / n_left
-    p_r = right_pos / n_right
-    gini_l = 1.0 - p_l ** 2 - (1.0 - p_l) ** 2
-    gini_r = 1.0 - p_r ** 2 - (1.0 - p_r) ** 2
-    return -(n_left * gini_l + n_right * gini_r) / (n_left + n_right)
+    """Minus the size-weighted Gini impurity of the two children,
+    -(n_l * gini_l + n_r * gini_r) / (n_l + n_r) with gini = 1 - p**2 - (1 - p)**2,
+    worked in place: a forest batch's level arrays are large."""
+    mass = []
+    for pos, count in ((left_pos, n_left), (right_pos, n_right)):
+        p = pos / count
+        q = 1.0 - p
+        np.subtract(1.0, np.square(p, out=p), out=p)
+        p -= np.square(q, out=q)
+        p *= count
+        mass.append(p)
+    left, right = mass
+    left += right
+    return np.divide(np.negative(left, out=left), n_left + n_right, out=left)
 
 
 @dataclass
@@ -287,11 +331,14 @@ def train_random_forest(
     rng = np.random.default_rng(seed)
     order = presort(features)
     bootstraps = rng.integers(0, n, size=(n_estimators, n))
+    # each tree's SplitMix64 seed; its nodes' draws come from its outputs
+    streams = _splitmix(np.uint64(int(seed) % 2 ** 64), np.arange(n_estimators))
 
-    def columns(count):
-        return np.argsort(rng.random((count, d)), axis=1, kind="stable")[:, :n_candidates]
+    def columns(tree, index):  # tree counts from the batch's first
+        draws = _splitmix(_splitmix(streams[first + tree], index)[:, None], np.arange(d))
+        return np.argsort(draws, axis=1, kind="stable")[:, :n_candidates]
 
-    batches, step = [], max(1, _LEVEL_ENTRIES // (n * d))
+    batches, step = [], max(1, _RF_ENTRIES // (n * d))
     for first in range(0, n_estimators, step):
         batch = bootstraps[first:first + step]
         weights = np.bincount((batch + n * np.arange(len(batch))[:, None]).ravel(),

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import voicebench
+from voicebench import cli, harness
 from voicebench.cli import cli_main
 from voicebench.harness import read_runs_csv
 from voicebench.jsonio import canonical_loads
@@ -211,6 +212,21 @@ class TestAllCommand:
             assert (out / name).exists(), name
         stdout = capsys.readouterr().out
         assert "omnibus rank test" in stdout
+
+    @pytest.mark.parametrize("models,runs", [("rf", "20"), ("logreg,rf", "2"), ("", "4")])
+    def test_refuses_what_analysis_would_refuse_before_training(
+            self, tabular_csv, tmp_path, capsys, monkeypatch, models, runs):
+        def spy(*args, **kwargs):
+            raise AssertionError("run_experiment was called")
+
+        monkeypatch.setattr(cli, "run_experiment", spy)
+        monkeypatch.setattr(harness, "load_dataset", spy)
+        args = _tab_args(tabular_csv, tmp_path / "out", "--models", models, "--runs", runs)
+        assert cli_main(["all", *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert ("at least 2 models" if models else "need at least one model") in err
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_with_cli_override(self, tabular_csv, tmp_path):
         config = {

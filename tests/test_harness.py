@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import queue
 
 import numpy as np
 import pytest
@@ -226,6 +227,23 @@ class TestRunExperiment:
         # once per task on each path, in order
         assert calls == 2 * [(done, 10) for done in range(1, 11)]
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_worker_moves_once_onto_its_cpu(self, tab_dataset, monkeypatch):
+        calls = []
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append(set(cpus)))
+        monkeypatch.setattr(harness, "_warm_heap", lambda: None)  # keep this process's heap
+        for name in ("_WORKER_DATASET", "_WORKER_PARAMS", "_WORKER_SEED"):
+            monkeypatch.setattr(harness, name, None)
+        allowed = os.sched_getaffinity(0)
+        cpus = queue.SimpleQueue()
+        for cpu in (5, 7):
+            cpus.put(cpu)
+        for _ in range(3):  # three workers on two CPUs wrap around
+            harness._worker_init(tab_dataset.features, tab_dataset.labels, "t", {}, 0, cpus)
+        assert calls == [{5}, allowed, {7}, allowed, {5}, allowed]
+        harness._worker_init(tab_dataset.features, tab_dataset.labels, "t", {}, 0)
+        assert len(calls) == 6  # no queue, no move
+
     def test_block_size_does_not_change_output(self, tab_config, tab_dataset, monkeypatch):
         config = dataclasses.replace(tab_config, models=CANONICAL_KINDS)
         texts = set()
@@ -319,6 +337,19 @@ class TestRunExperiment:
         full = run_experiment(tab_config, dataset=tab_dataset)
         path = tmp_path / "runs.csv"
         write_runs_csv(RunTable(records=full.records, config_fingerprint=fingerprint), path)
+        with pytest.raises(UsageError, match="different configuration"):
+            run_experiment(tab_config, dataset=tab_dataset, existing=read_runs_csv(path))
+
+    def test_resume_refuses_rows_of_seed_protocol_2(self, tab_config, tab_dataset, tmp_path,
+                                                    monkeypatch):
+        # protocol 3 changed every rf row; the fingerprint carries the protocol
+        with monkeypatch.context() as patched:
+            patched.setattr(harness, "SEED_PROTOCOL", 2)
+            older = tab_config.fingerprint()
+        assert older != tab_config.fingerprint()
+        full = run_experiment(tab_config, dataset=tab_dataset)
+        path = tmp_path / "runs.csv"
+        write_runs_csv(RunTable(records=full.records, config_fingerprint=older), path)
         with pytest.raises(UsageError, match="different configuration"):
             run_experiment(tab_config, dataset=tab_dataset, existing=read_runs_csv(path))
 

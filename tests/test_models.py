@@ -26,7 +26,7 @@ from voicebench.models import forest, svm
 from voicebench.models.base import binomial_deviance, sigmoid
 from voicebench.models.boosting import _MIN_IMPROVEMENT, _friedman_gain
 from voicebench.models.forest import (
-    _LEVEL_ENTRIES,
+    _RF_ENTRIES,
     ForestModel,
     Nodes,
     _neg_gini,
@@ -442,6 +442,15 @@ class TestForest:
         # one tree votes 0, the other votes 1, for any input
         assert np.array_equal(model.predict(np.array([[5.0]])), [1])
 
+    def test_one_tree_of_256_rows(self):
+        # a batch's row ids take a small integer type, which must hold n too
+        rng = np.random.default_rng(45)
+        x = rng.normal(size=(256, 3))
+        y = (x[:, 0] > 0).astype(int)
+        model = train_random_forest(x, y, n_estimators=1, seed=2)
+        assert model.nodes.bounds.size == 2
+        assert np.mean(model.predict(x) == y) > 0.9
+
     def test_stump_routing(self):
         tree = _stump(0.5, -1.0, 2.0)
         out = leaf_values(tree, np.array([[0.4], [0.5], [0.6], [np.nan]]))[0]
@@ -524,20 +533,23 @@ class TestTreeBits:
         return np.round(x, 1), y
 
     def test_forest_trees_bit_identical(self):
-        # the pin is the digest of the slow reference of seed protocol 2
+        # the pin is the digest of the slow reference of seed protocol 3
         x, y = self._tied_blobs()
-        pinned = "090879d2e6c1b21c01b5b4d7e9c1aff0d69488baedcab9c116cffc05a7b9b7fb"
+        pinned = "abcac7c4e0357d50758447ec8edf265e074e5f3334eb966c5a19ccf090140202"
         assert _tree_digest(_reference_forest(x, y, seed=5)) == pinned
         model = train_random_forest(x, y, seed=5)
         assert _tree_digest(_trees(model.nodes)) == pinned
 
-    def test_forest_matches_reference_across_batches(self):
+    def test_forest_matches_reference_across_batches(self, monkeypatch):
         x, y = make_blobs(seed=63, n=178, d=22, sep=0.3, std=1.5)
         x = np.round(x, 1)
-        assert _LEVEL_ENTRIES // (178 * 22) < 45  # 45 trees make several batches
-        model = train_random_forest(x, y, n_estimators=45, seed=9)
-        assert _tree_digest(_trees(model.nodes)) == _tree_digest(
-            _reference_forest(x, y, seed=9, n_estimators=45))
+        expected = _tree_digest(_reference_forest(x, y, seed=9, n_estimators=45))
+        # 1 tree per batch, 10 (the batches of seed protocol 2) and today's cap
+        for entries in (1, 40_000, _RF_ENTRIES):
+            monkeypatch.setattr(forest, "_RF_ENTRIES", entries)
+            assert entries // (178 * 22) < 45  # 45 trees make several batches
+            model = train_random_forest(x, y, n_estimators=45, seed=9)
+            assert _tree_digest(_trees(model.nodes)) == expected
 
     def test_boosting_trees_bit_identical(self):
         x, y = self._tied_blobs()
@@ -546,27 +558,30 @@ class TestTreeBits:
             "f2ca9587b220c7d39ed3dee7d4afdc7805f90d02f305d81dc225e7c7926dcc12")
 
 
+def _splitmix_ref(state, counter):
+    """Output counter (from 0) of SplitMix64 seeded with state, on Python ints."""
+    z = (state + (counter + 1) * 0x9E3779B97F4A7C15) % 2 ** 64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2 ** 64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2 ** 64
+    return z ^ (z >> 31)
+
+
 def _reference_forest(features, labels, seed, n_estimators=100):
-    """Seed protocol 2, one node at a time. Trees grow breadth-first in
-    batches on their bootstrap rows; each level draws column ranks for
-    every impure node of the batch in (tree, breadth-first) order, and
-    _loop_split splits it. Trees are laid out in preorder."""
+    """Seed protocol 3, one node at a time. Each tree grows breadth-first on
+    its bootstrap rows; an impure node ranks the columns by draws keyed on
+    (seed, tree, its breadth-first index in the tree), and _loop_split
+    splits it. Trees are laid out in preorder."""
     n, d = features.shape
     k = max(1, math.ceil(math.sqrt(d)))
-    rng = np.random.default_rng(seed)
-    bootstraps = rng.integers(0, n, size=(n_estimators, n))
-    step = max(1, _LEVEL_ENTRIES // (n * d))
+    bootstraps = np.random.default_rng(seed).integers(0, n, size=(n_estimators, n))
     trees = []
-    for first in range(0, n_estimators, step):
-        roots = [{"x": features[b], "y": labels[b], "rows": np.arange(n)}
-                 for b in bootstraps[first:first + step]]
-        level = roots
-        while level:
-            impure = [node for node in level
-                      if 0 < node["y"][node["rows"]].sum() < node["rows"].size]
-            ranks = np.argsort(rng.random((len(impure), d)), axis=1, kind="stable")[:, :k]
-            level = []
-            for node, columns in zip(impure, ranks):
+    for t, b in enumerate(bootstraps):
+        queue = [{"x": features[b], "y": labels[b], "rows": np.arange(n)}]
+        for index, node in enumerate(queue):  # a node's place in the queue is its index
+            if 0 < node["y"][node["rows"]].sum() < node["rows"].size:
+                stream = _splitmix_ref(_splitmix_ref(seed, t), index)
+                draws = [_splitmix_ref(stream, f) for f in range(d)]
+                columns = sorted(range(d), key=lambda f: (draws[f], f))[:k]
                 split = _loop_split(node["x"], node["y"], node["rows"], columns,
                                     _neg_gini, -np.inf)
                 if split is not None:
@@ -574,8 +589,8 @@ def _reference_forest(features, labels, seed, n_estimators=100):
                     node["kids"] = [{"x": node["x"], "y": node["y"], "rows": node["rows"][side]}
                                     for side in (go_left, ~go_left)]
                     node["split"] = split
-                    level += node["kids"]
-        trees += [_preorder_tree(root) for root in roots]
+                    queue += node["kids"]
+        trees.append(_preorder_tree(queue[0]))
     return trees
 
 
@@ -728,7 +743,7 @@ class TestFlatLayout:
                                 for _ in range(trees)])
             k = max(1, math.ceil(math.sqrt(d)))
             grow(x, presort(x), y,
-                 lambda count: np.argsort(rng.random((count, d)), axis=1)[:, :k],
+                 lambda tree, index: np.argsort(rng.random((tree.size, d)), axis=1)[:, :k],
                  _neg_gini, -np.inf, weights, max_depth=max_depth)
         assert len(checked) == 12
 
@@ -740,7 +755,8 @@ class TestFlatLayout:
             x = np.round(rng.normal(size=(runs, n, d)), int(rng.integers(0, 3)))
             targets = rng.integers(0, 2, (runs, n)) - rng.uniform(0.2, 0.8, (runs, n))
             targets[0] = np.where(x[0, :, 0] > 0, 0.5, -0.5)  # run 0 closes at depth 1
-            grow(x, presort(x), targets, lambda count: np.arange(d)[None].repeat(count, axis=0),
+            grow(x, presort(x), targets,
+                 lambda tree, index: np.arange(d)[None].repeat(tree.size, axis=0),
                  _friedman_gain, _MIN_IMPROVEMENT, max_depth=max_depth)
         assert len(checked) == 12
 
@@ -758,7 +774,8 @@ class TestFlatLayout:
             weights = np.stack([np.bincount(rng.integers(0, n, n), minlength=n)
                                 for _ in range(trees)])
             nodes, leaf_of_row = grow(x, presort(x), rng.integers(0, 2, n),
-                                      lambda count: np.argsort(rng.random((count, d)), axis=1),
+                                      lambda tree, index: np.argsort(rng.random((tree.size, d)),
+                                                                     axis=1),
                                       _neg_gini, -np.inf, weights)
             for t, (lo, hi) in enumerate(zip(nodes.bounds[:-1], nodes.bounds[1:])):
                 split = nodes.feature[lo:hi] != -1
@@ -783,6 +800,7 @@ class TestFlatLayout:
             return nodes, leaf
 
         monkeypatch.setattr(forest, "grow", spy)
+        monkeypatch.setattr(forest, "_RF_ENTRIES", 40_000)  # batches of 10 trees
         model = train_random_forest(x, y, n_estimators=25, seed=3)
         assert len(batches) > 1
         for nodes, leaf, weights in batches:
@@ -812,13 +830,13 @@ class TestForestCost:
         calls = []
 
         def spy(*args, **kwargs):
-            calls.append(args[4].size)
+            calls.append(args[3].size)
             return best_splits(*args, **kwargs)
 
         monkeypatch.setattr(forest, "best_splits", spy)
         model = train_random_forest(x, y, seed=2)
         levels = 1 + max(_depth(tree) for tree in _trees(model.nodes))
-        batches = math.ceil(100 / max(1, _LEVEL_ENTRIES // (178 * 22)))
+        batches = math.ceil(100 / max(1, _RF_ENTRIES // (178 * 22)))
         assert len(calls) <= levels * batches
         # each call covers many nodes: every split node was searched
         assert sum(calls) >= sum(int(np.sum(t.feature != -1)) for t in _trees(model.nodes))
@@ -833,6 +851,35 @@ class TestForestCost:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2 ** 20
+
+
+class TestForestDraws:
+    """Seed protocol 3's draws, keyed by (rf seed, tree, breadth-first index),
+    make every column a candidate equally often."""
+
+    def test_every_column_drawn_at_k_over_d(self, monkeypatch):
+        x, y = TestForestCost._bench_shaped()
+        d, k, per_tree = 22, 5, 4000
+        drawn, engine = [], forest.grow
+
+        def spy(*args, **kwargs):
+            if not drawn:  # the fit's columns callback, on many (tree, index) keys
+                trees = len(args[6])
+                drawn.append(args[3](np.arange(trees).repeat(per_tree),
+                                     np.tile(np.arange(per_tree), trees)))
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(forest, "grow", spy)
+        train_random_forest(x, y, seed=7)
+        (candidates,) = drawn
+        nodes = candidates.shape[0]
+        assert candidates.shape == (nodes, k) and nodes >= 10 * per_tree
+        assert np.all(np.diff(np.sort(candidates, axis=1), axis=1) > 0)  # k distinct columns
+        # a rate's binomial standard deviation is under 0.0015 here; allow 4 of them
+        rate = np.bincount(candidates.ravel(), minlength=d) / nodes
+        assert np.all(np.abs(rate - k / d) < 0.006)
+        first = np.bincount(candidates[:, 0], minlength=d) / nodes
+        assert np.all(np.abs(first - 1 / d) < 0.003)
 
 
 class TestBoostingEngine:
@@ -858,7 +905,8 @@ class TestBoostingEngine:
                 targets = rng.integers(0, 2, n) - rng.uniform(0.2, 0.8, n)
             for max_depth in (3, None):
                 nodes, (leaf_of_row,) = grow(
-                    x, presort(x), targets, lambda count: np.arange(d)[None].repeat(count, axis=0),
+                    x, presort(x), targets,
+                    lambda tree, index: np.arange(d)[None].repeat(tree.size, axis=0),
                     _friedman_gain, _MIN_IMPROVEMENT, max_depth=max_depth)
                 tree, at = _preorder(nodes)
                 expected, expected_leaf_of_row, levels_mixed = _reference_boost_tree(
@@ -873,7 +921,7 @@ class TestBoostingEngine:
         calls = []
 
         def spy(*args, **kwargs):
-            calls.append(args[4].size)
+            calls.append(args[3].size)
             return best_splits(*args, **kwargs)
 
         monkeypatch.setattr(forest, "best_splits", spy)
@@ -1002,20 +1050,19 @@ def _mean_leaf(targets):
 
 
 def best_split(features, targets, rows, columns, gain, floor):
-    """One node's split through the level search: rows (sorted) in every
-    column's presorted order, all candidates in `columns`."""
-    layout = rows[np.argsort(features[rows].T, axis=1, kind="mergesort")]
-    vals = np.take_along_axis(features.T, layout, axis=1)
-    feature, threshold = best_splits(targets, layout, vals, np.array([0]),
-                                     np.array([rows.size]), columns[None], gain, floor)
-    return None if feature[0] < 0 else (int(feature[0]), float(threshold[0]))
+    """One node's split through the level search: rows (sorted) in each
+    candidate column's presorted order, the candidates in `columns`."""
+    layout = rows[np.argsort(features[rows][:, columns].T, axis=1, kind="mergesort")]
+    vals = np.take_along_axis(features[:, columns].T, layout, axis=1)
+    slot, threshold = best_splits(targets, layout, vals, np.array([rows.size]), gain, floor)
+    return None if slot[0] < 0 else (int(columns[slot[0]]), float(threshold[0]))
 
 
 def _grow_one(features, targets, leaf_value, gain, floor):
     """One tree on every row with every column; leaves take leaf_value(rows)."""
     d = features.shape[1]
     tree, (leaf_of_row,) = grow(features, presort(features), targets,
-                                lambda count: np.broadcast_to(np.arange(d), (count, d)),
+                                lambda tree, index: np.broadcast_to(np.arange(d), (tree.size, d)),
                                 gain, floor)
     for node in np.flatnonzero(tree.feature == -1):
         tree.value[node] = leaf_value(np.flatnonzero(leaf_of_row == node))

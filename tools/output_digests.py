@@ -12,7 +12,10 @@ and on the WAV corpus at --runs 5 and 40 and --workers 1, 2 and 3, and
 `voicebench extract` on each corpus. It prints one `sha256  name` line per
 file, sorted by name, for runs.csv, report.json, boxplot_accuracy.csv,
 splits.csv and the features CSV; timings.csv holds wall times and is left
-out. Two trees write the same bytes when their printed lines are equal.
+out. For each runs.csv it also prints one `sha256  name [model]` line per
+model: the digest of the column header and that model's rows, so a change
+declared to touch one model's rows shows as a diff in that model's lines
+only. Two trees write the same bytes when their printed lines are equal.
 """
 import hashlib
 import os
@@ -70,8 +73,24 @@ def digests(src: Path) -> list[str]:
                                      "--dump-splits", "--quiet"], src, work)
                         written += [out / output for output in OUTPUTS]
             for path in written:
-                lines.append(f"{hashlib.sha256((work / path).read_bytes()).hexdigest()}  {path}")
+                data = (work / path).read_bytes()
+                lines.append(f"{hashlib.sha256(data).hexdigest()}  {path}")
+                if path.name == "runs.csv":
+                    lines += [f"{hashlib.sha256(part).hexdigest()}  {path} [{model}]"
+                              for model, part in _by_model(data).items()]
     return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+
+
+def _by_model(runs_csv: bytes) -> dict:
+    """The column header line and each model's row lines, per model."""
+    header, *rows = [line for line in runs_csv.splitlines(keepends=True)
+                     if not line.startswith(b"#")]
+    at = header.decode().split(",").index("model")
+    parts = {}
+    for row in rows:
+        model = row.decode().split(",")[at]
+        parts[model] = parts.get(model, header) + row
+    return parts
 
 
 def main(argv: list) -> int:
