@@ -62,10 +62,10 @@ STREAM_OVERSAMPLE_TRAIN = 1
 STREAM_OVERSAMPLE_VAL = 2
 STREAM_MODEL_BASE = 3
 # Version of how a seed becomes model results; runs.csv fingerprints carry
-# it, so --resume refuses rows of an older protocol. 3: a forest node's
-# column draws are keyed by its tree and breadth-first index
-# (models/forest.py), not by the level's batch of trees.
-SEED_PROTOCOL = 3
+# it, so --resume refuses rows of an older protocol. 4: svm trains by
+# LIBSVM's working-set selection and gap stop (models/svm.py), not by
+# Platt's pair heuristics.
+SEED_PROTOCOL = 4
 
 DEFAULT_OUTPUT_ENV = "VOICEBENCH_OUT"
 
@@ -114,16 +114,6 @@ class DatasetSpec:
                 raise UsageError("tabular dataset needs 'csv' and 'label_column'")
         else:
             raise UsageError(f"unknown dataset kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        if self.kind == "audio":
-            return {"kind": "audio", "root": self.root, "manifest": self.manifest}
-        return {
-            "kind": "tabular",
-            "csv": self.csv,
-            "label_column": self.label_column,
-            "drop_columns": list(self.drop_columns),
-        }
 
     @staticmethod
     def from_dict(raw: dict) -> "DatasetSpec":
@@ -199,11 +189,17 @@ class ExperimentConfig:
                 self, "output_dir", os.environ.get(DEFAULT_OUTPUT_ENV, "voicebench_out")
             )
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, dataset: LabeledDataset) -> str:
         # workers and output_dir are execution details; everything that can
-        # change a result row (or the analysis) is hashed
+        # change a result row (or the analysis) is hashed. The loaded rows
+        # stand for the dataset, not its path: the same rows at any path
+        # share a fingerprint, and changed rows get another.
+        features = dataset.features
+        rows = hashlib.sha256(f"{features.shape} {features.dtype.str}".encode())
+        rows.update(features.tobytes())
+        rows.update(dataset.labels.tobytes())
         payload = {
-            "dataset": self.dataset.to_dict(),
+            "rows": rows.hexdigest(),
             "models": list(self.models),
             "model_params": {k: dict(v) for k, v in sorted(self.model_params.items())},
             "runs": self.runs,
@@ -432,7 +428,7 @@ def run_experiment(
     """
     if dataset is None:
         dataset = load_dataset(config.dataset)
-    fingerprint = config.fingerprint()
+    fingerprint = config.fingerprint(dataset)
 
     have = {}  # (run_index, kind) -> RunRecord
     if existing is not None:

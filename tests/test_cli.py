@@ -121,6 +121,20 @@ class TestRun:
         assert code == 1
         assert "different configuration" in capsys.readouterr().err
 
+    def test_resume_refuses_changed_rows_at_the_same_path(self, tabular_csv, tmp_path, capsys):
+        table, out = tmp_path / "voice.csv", tmp_path / "out"
+        table.write_bytes(tabular_csv.read_bytes())
+        assert cli_main(["all", *_tab_args(table, out)]) == 0
+        before = read_runs_csv(out / "runs.csv").config_fingerprint
+        header, *rows = table.read_text().splitlines()
+        table.write_text("\n".join([header] + [row[:-1] + str(1 - int(row[-1])) for row in rows]))
+        assert cli_main(["all", *_tab_args(table, tmp_path / "fresh")]) == 0
+        after = read_runs_csv(tmp_path / "fresh" / "runs.csv").config_fingerprint
+        capsys.readouterr()
+        assert cli_main(["all", *_tab_args(table, out, "--resume")]) == 1
+        err = capsys.readouterr().err
+        assert "different configuration" in err and before in err and after in err
+
     def test_dump_splits(self, tabular_csv, tmp_path):
         out = tmp_path / "out"
         assert cli_main(["run", *_tab_args(tabular_csv, out, "--dump-splits")]) == 0
@@ -266,7 +280,9 @@ class TestAllCommand:
          ("model_params", {"rf": {"n_estimators": 2.5}}, "'n_estimators'"),
          ("model_params", {"dnn": {"hidden": [64, 0]}}, "'hidden'"),
          ("models", ["svm", ["rf"]], "unknown model kind ['rf']"),
-         ("runs", 2.5, "'runs'"), ("runs", 0, "'runs'"), ("workers", 0, "'workers'")],
+         ("runs", 2.5, "'runs'"), ("runs", 0, "'runs'"), ("workers", 0, "'workers'"),
+         ("model_params", {"svm": {"max_passes": 100}},
+          "model 'svm' has no parameter 'max_passes'")],
     )
     def test_bad_config_value_is_usage_error(self, tabular_csv, tmp_path, capsys,
                                              monkeypatch, key, value, named):

@@ -75,18 +75,31 @@ class TestSeedDerivation:
 
 
 class TestConfig:
-    def test_fingerprint_ignores_workers_and_outdir(self, tabular_csv):
+    def test_fingerprint_ignores_workers_and_outdir(self, tabular_csv, tab_dataset):
         ds = DatasetSpec(kind="tabular", csv=str(tabular_csv), label_column="status")
         a = ExperimentConfig(dataset=ds, runs=4, workers=1, output_dir="x")
         b = ExperimentConfig(dataset=ds, runs=4, workers=8, output_dir="y")
-        assert a.fingerprint() == b.fingerprint()
+        assert a.fingerprint(tab_dataset) == b.fingerprint(tab_dataset)
 
-    def test_fingerprint_sees_result_shaping_fields(self, tabular_csv):
+    def test_fingerprint_sees_result_shaping_fields(self, tabular_csv, tab_dataset):
         ds = DatasetSpec(kind="tabular", csv=str(tabular_csv), label_column="status")
         a = ExperimentConfig(dataset=ds, runs=4)
         b = ExperimentConfig(dataset=ds, runs=5)
         c = ExperimentConfig(dataset=ds, runs=4, base_seed=1)
-        assert len({a.fingerprint(), b.fingerprint(), c.fingerprint()}) == 3
+        assert len({a.fingerprint(tab_dataset), b.fingerprint(tab_dataset),
+                    c.fingerprint(tab_dataset)}) == 3
+
+    def test_fingerprint_sees_changed_rows(self, tab_config, tab_dataset):
+        features, labels = tab_dataset.features, tab_dataset.labels
+        nudged = features.copy()
+        nudged[3, 5] += 1e-9
+        changed = [
+            LabeledDataset(features, 1 - labels),
+            LabeledDataset(nudged, labels),
+            LabeledDataset(features.reshape(features.shape[0] * 2, -1), np.repeat(labels, 2)),
+        ]
+        fingerprints = {tab_config.fingerprint(ds) for ds in (tab_dataset, *changed)}
+        assert len(fingerprints) == 4
 
     def test_duplicate_model_rejected(self, tabular_csv):
         ds = DatasetSpec(kind="tabular", csv=str(tabular_csv), label_column="status")
@@ -196,7 +209,7 @@ class TestRunExperiment:
         assert len(table.records) == 10
         expected = [(run, kind) for run in range(5) for kind in ("logreg", "gb")]
         assert [(r.run_index, r.model) for r in table.records] == expected
-        assert table.config_fingerprint == tab_config.fingerprint()
+        assert table.config_fingerprint == tab_config.fingerprint(tab_dataset)
 
     def test_rerun_is_byte_identical(self, tab_config, tab_dataset):
         a = runs_csv_text(run_experiment(tab_config, dataset=tab_dataset))
@@ -208,13 +221,22 @@ class TestRunExperiment:
         b = run_experiment(tab_config, dataset=tab_dataset)
         assert runs_csv_text(a) == runs_csv_text(b)
 
+    def test_same_rows_at_two_paths_give_equal_bytes(self, tab_config, tabular_csv, tmp_path):
+        copy = tmp_path / "renamed" / "copy.csv"
+        copy.parent.mkdir()
+        copy.write_bytes(tabular_csv.read_bytes())
+        moved = dataclasses.replace(tab_config, dataset=dataclasses.replace(
+            tab_config.dataset, csv=str(copy)))
+        assert runs_csv_text(run_experiment(moved)) == runs_csv_text(run_experiment(tab_config))
+
     def test_worker_count_does_not_change_output(self, tab_config, tab_dataset):
         calls = []
         serial = run_experiment(tab_config, dataset=tab_dataset,
                                 progress=lambda *call: calls.append(call))
         parallel_cfg = ExperimentConfig.from_dict(
             {
-                "dataset": tab_config.dataset.to_dict(),
+                "dataset": {"kind": "tabular", "csv": tab_config.dataset.csv,
+                            "label_column": "status", "drop_columns": ["name"]},
                 "models": list(tab_config.models),
                 "runs": tab_config.runs,
                 "base_seed": tab_config.base_seed,
@@ -327,26 +349,30 @@ class TestRunExperiment:
         assert resumed.records[0].train_ms == 1234.5  # kept, not recomputed
 
     def test_resume_refuses_rows_of_older_seed_protocol(self, tab_config, tab_dataset, tmp_path):
-        # runs.csv files written before seed protocol 2 carry the fingerprint
-        # of the same payload without the protocol field
-        older = {"dataset": tab_config.dataset.to_dict(), "models": list(tab_config.models),
+        # runs.csv files written before seed protocol 4 carry the fingerprint
+        # of the dataset's path and the same fields; before protocol 2,
+        # without the protocol field
+        older = {"dataset": {"kind": "tabular", "csv": tab_config.dataset.csv,
+                             "label_column": "status", "drop_columns": ["name"]},
+                 "models": list(tab_config.models),
                  "model_params": {}, "runs": tab_config.runs,
                  "base_seed": tab_config.base_seed, "alpha": tab_config.alpha}
-        fingerprint = hashlib.sha256(canonical_dumps(older).encode()).hexdigest()[:16]
-        assert fingerprint != tab_config.fingerprint()
         full = run_experiment(tab_config, dataset=tab_dataset)
         path = tmp_path / "runs.csv"
-        write_runs_csv(RunTable(records=full.records, config_fingerprint=fingerprint), path)
-        with pytest.raises(UsageError, match="different configuration"):
-            run_experiment(tab_config, dataset=tab_dataset, existing=read_runs_csv(path))
+        for payload in (older, {**older, "seed_protocol": 3}):
+            fingerprint = hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()[:16]
+            assert fingerprint != tab_config.fingerprint(tab_dataset)
+            write_runs_csv(RunTable(records=full.records, config_fingerprint=fingerprint), path)
+            with pytest.raises(UsageError, match="different configuration"):
+                run_experiment(tab_config, dataset=tab_dataset, existing=read_runs_csv(path))
 
     def test_resume_refuses_rows_of_seed_protocol_2(self, tab_config, tab_dataset, tmp_path,
                                                     monkeypatch):
         # protocol 3 changed every rf row; the fingerprint carries the protocol
         with monkeypatch.context() as patched:
             patched.setattr(harness, "SEED_PROTOCOL", 2)
-            older = tab_config.fingerprint()
-        assert older != tab_config.fingerprint()
+            older = tab_config.fingerprint(tab_dataset)
+        assert older != tab_config.fingerprint(tab_dataset)
         full = run_experiment(tab_config, dataset=tab_dataset)
         path = tmp_path / "runs.csv"
         write_runs_csv(RunTable(records=full.records, config_fingerprint=older), path)

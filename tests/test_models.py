@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs
+from platt_smo import platt_smo
 from propcheck import deviance_path
+from voicebench.data import oversample
 from voicebench.errors import DegenerateData, DimensionMismatch, UsageError
 from voicebench.models import (
     CANONICAL_KINDS,
@@ -58,7 +60,7 @@ class TestSpecs:
         table = {kind: default_params(kind) for kind in CANONICAL_KINDS}
         assert table == {
             "logreg": {"c": 1.0, "max_iter": 1000, "tol": 1e-6},
-            "svm": {"c": 1.0, "kkt_tol": 1e-3, "max_passes": 10000},
+            "svm": {"c": 1.0, "kkt_tol": 1e-3, "max_iter": 10000},
             "rf": {"n_estimators": 100},
             "gb": {"n_estimators": 100, "learning_rate": 0.1, "max_depth": 3},
             "dnn": {"hidden": (64, 32), "dropout": 0.3, "learning_rate": 0.003,
@@ -68,7 +70,7 @@ class TestSpecs:
                  for kind, params in table.items()}
         assert types == {
             "logreg": {"c": float, "max_iter": int, "tol": float},
-            "svm": {"c": float, "kkt_tol": float, "max_passes": int},
+            "svm": {"c": float, "kkt_tol": float, "max_iter": int},
             "rf": {"n_estimators": int},
             "gb": {"n_estimators": int, "learning_rate": float, "max_depth": int},
             "dnn": {"hidden": tuple, "dropout": float, "learning_rate": float,
@@ -84,7 +86,7 @@ class TestSpecs:
         [("svm", {"c": "big"}), ("svm", {"c": True}), ("gb", {"max_depth": "3"}),
          ("dnn", {"hidden": 64}), ("rf", 5),
          ("rf", {"n_estimators": 2.5}), ("rf", {"n_estimators": 0}),
-         ("logreg", {"max_iter": 10.5}), ("svm", {"max_passes": -1}),
+         ("logreg", {"max_iter": 10.5}), ("svm", {"max_iter": -1}),
          ("gb", {"n_estimators": float("inf")}), ("gb", {"max_depth": 0.5}),
          ("dnn", {"epochs": 0}), ("dnn", {"batch_size": 8.5}), ("dnn", {"patience": 0}),
          ("dnn", {"hidden": [64, 0]}), ("dnn", {"hidden": [64.5]}),
@@ -343,6 +345,54 @@ class TestSvm:
         assert calls[0][2] == model.gamma
         assert np.array_equal(decisions, rbf_kernel(probe, model.support_vectors, model.gamma)
                               @ model.dual_coef + model.bias)
+
+
+def _svm_problems():
+    """Seeded blobs of 16-200 rows with duplicate rows, then sets shaped like
+    the bench table's oversampled training splits (178 x 22, z-scored)."""
+    for seed in range(40):
+        rng = np.random.default_rng([seed, 24])
+        n = int(rng.integers(16, 178))
+        d = int(rng.integers(2, 9))
+        n1 = int(rng.integers(4, n - 4))
+        x = np.vstack([rng.normal(0.0, 1.0, size=(n - n1, d)),
+                       rng.normal(rng.uniform(0.3, 2.5), 1.0, size=(n1, d))])
+        y = np.repeat([0, 1], [n - n1, n1])
+        dup = rng.integers(0, n, size=n // 8)
+        yield np.vstack([x, x[dup]]), np.concatenate([y, y[dup]])
+    for seed in range(12):
+        rng = np.random.default_rng([seed, 178])
+        y = np.repeat([0, 1], [29, 89])
+        latent = rng.normal(size=(y.size, 22)) + y[:, None] * rng.uniform(0.5, 1.2, size=22)
+        x = np.einsum("ij,jk->ik", latent, rng.normal(size=(22, 22)))
+        yield oversample((x - x.mean(axis=0)) / x.std(axis=0), y, seed)
+
+
+class TestSvmSolver:
+    def test_dual_objective_not_above_platt(self):
+        problems = 0
+        for x, y in _svm_problems():
+            model = train_svm_smo(x, y)
+            z = np.where(y == 1, 1.0, -1.0)
+            k = rbf_kernel(x, x, model.gamma)
+            reference, _, reference_converged = platt_smo(k, z)
+            assert model.meta.converged and reference_converged
+
+            def dual(alpha):
+                return 0.5 * (alpha * z) @ k @ (alpha * z) - alpha.sum()
+
+            assert dual(model.alphas) <= dual(reference) + 1e-4, x.shape
+            problems += 1
+        assert problems == 52
+
+    def test_iteration_cap_keeps_the_pair_feasible(self):
+        x, y = make_blobs(seed=34, n=60, d=3, sep=0.5, std=1.0)
+        model = train_svm_smo(x, y, max_iter=1)
+        assert not model.meta.converged and model.meta.epochs_run == 1
+        assert np.all((model.alphas >= 0.0) & (model.alphas <= 1.0))
+        assert np.count_nonzero(model.alphas) == 2
+        z = np.where(y == 1, 1.0, -1.0)
+        assert abs(float(np.sum(model.alphas * z))) <= 1e-9
 
 
 class _Preorder(NamedTuple):

@@ -15,7 +15,10 @@ splits.csv and the features CSV; timings.csv holds wall times and is left
 out. For each runs.csv it also prints one `sha256  name [model]` line per
 model: the digest of the column header and that model's rows, so a change
 declared to touch one model's rows shows as a diff in that model's lines
-only. Two trees write the same bytes when their printed lines are equal.
+only. For each report.json it prints one `sha256  name [analysis]` line:
+the digest of the file without its config_fingerprint line, so a change to
+the fingerprint alone shows only in the whole-file runs.csv and report.json
+lines. Two trees write the same bytes when their printed lines are equal.
 """
 import hashlib
 import os
@@ -47,8 +50,8 @@ def digests(src: Path) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for seed in SEEDS:
-            # inputs sit at one relative path for every tree: runs.csv
-            # fingerprints the dataset path as given
+            # inputs sit at one relative path for every tree: older trees
+            # fingerprint the dataset path as given, not its rows
             table, corpus = Path(f"seed{seed}", "table.csv"), Path(f"seed{seed}", "corpus")
             (work / table.parent).mkdir()
             inputs.write_table(work / table, seed)
@@ -78,6 +81,10 @@ def digests(src: Path) -> list[str]:
                 if path.name == "runs.csv":
                     lines += [f"{hashlib.sha256(part).hexdigest()}  {path} [{model}]"
                               for model, part in _by_model(data).items()]
+                if path.name == "report.json":
+                    analysis = b"".join(line for line in data.splitlines(keepends=True)
+                                        if not line.lstrip().startswith(b'"config_fingerprint"'))
+                    lines.append(f"{hashlib.sha256(analysis).hexdigest()}  {path} [analysis]")
     return sorted(lines, key=lambda line: line.split("  ", 1)[1])
 
 
