@@ -140,6 +140,9 @@ def load_tabular_dataset(
             raise EmptyDataset(f"{csv_path}: empty file") from None
         rows = list(reader)
 
+    if len(set(header)) < len(header):  # the label or a drop would match twice
+        twice = next(name for i, name in enumerate(header) if name in header[:i])
+        raise MissingColumn(f"{csv_path}: column {twice!r} is named twice in the header")
     if label_column not in header:
         raise MissingColumn(f"{csv_path}: no column named {label_column!r}")
     for name in drop_columns:

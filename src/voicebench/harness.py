@@ -64,8 +64,9 @@ STREAM_MODEL_BASE = 3
 # Version of how a seed becomes model results; runs.csv fingerprints carry
 # it, so --resume refuses rows of an older protocol. 4: svm trains by
 # LIBSVM's working-set selection and gap stop (models/svm.py), not by
-# Platt's pair heuristics.
-SEED_PROTOCOL = 4
+# Platt's pair heuristics. 5: logreg trains by Newton's method
+# (models/logreg.py), not by L-BFGS.
+SEED_PROTOCOL = 5
 
 DEFAULT_OUTPUT_ENV = "VOICEBENCH_OUT"
 
@@ -552,7 +553,7 @@ def read_runs_csv(path) -> RunTable:
     header = rows[0].split(",")
     if tuple(header) != RUNS_CSV_COLUMNS:
         raise VoicebenchError(f"{path}: unexpected columns {header}")
-    records = []
+    records, pairs = [], set()
     for lineno, row in zip(linenos[1:], csv.reader(rows[1:])):
         if not row:
             continue
@@ -565,6 +566,11 @@ def read_runs_csv(path) -> RunTable:
             }))
         except ValueError as exc:
             raise VoicebenchError(f"{path} line {lineno}: {exc}") from None
+        pair = (records[-1].run_index, records[-1].model)
+        if pair in pairs:
+            raise VoicebenchError(f"{path} line {lineno}: a second row for run "
+                                  f"{pair[0]} of model {pair[1]!r}")
+        pairs.add(pair)
     return RunTable(records=tuple(records), config_fingerprint=fingerprint)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -33,6 +34,15 @@ _TRAINERS = {
 CANONICAL_KINDS = tuple(_TRAINERS)
 # Kinds whose trainer grows the models of a whole block of runs in one call.
 BLOCK_KINDS = ("gb", "dnn")
+# Every real parameter is finite: l2 may be 0 and dropout lies in [0, 1);
+# the others (c, tol, kkt_tol, learning_rate) are > 0, as LIBSVM refuses
+# C <= 0 and eps <= 0. NaN fails every comparison.
+_MAX_FLOAT = sys.float_info.max
+_REAL_RANGES = {
+    "l2": ("a finite number >= 0", lambda value: 0 <= value <= _MAX_FLOAT),
+    "dropout": ("in [0, 1)", lambda value: 0 <= value < 1),
+}
+_POSITIVE = ("a finite number > 0", lambda value: 0 < value <= _MAX_FLOAT)
 
 
 @dataclass(frozen=True)
@@ -70,6 +80,10 @@ def make_spec(kind: str, overrides: dict | None = None) -> ClassifierSpec:
             value = whole_count(name, value)
         elif isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise UsageError(f"{name} must be a number, got {value!r}")
+        else:
+            wanted, holds = _REAL_RANGES.get(key, _POSITIVE)
+            if not holds(value):
+                raise UsageError(f"{name} must be {wanted}, got {value!r}")
         params[key] = value
     return ClassifierSpec(kind, params)
 

@@ -74,6 +74,25 @@ class TestParsing:
         assert f"{bad} row 6, column 'feat_02': 'nan'" in err
         assert not (tmp_path / "out" / "runs.csv").exists()
 
+    def test_column_named_twice_is_data_error(self, tabular_csv, tmp_path, capsys):
+        # a second 'status' column holding the labels would leak them into
+        # the features
+        header, *rows = tabular_csv.read_text().splitlines()
+        names = header.split(",")
+        names[1] = "status"
+        lines = [",".join(names)]
+        for row in rows:
+            cells = row.split(",")
+            cells[1] = cells[-1]
+            lines.append(",".join(cells))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = cli_main(["all", *_tab_args(bad, tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: column 'status' is named twice" in err
+        assert not (tmp_path / "out").exists()
+
     def test_console_script_help(self):
         proc = subprocess.run(
             ["voicebench", "--help"], capture_output=True, text=True, timeout=60
@@ -209,6 +228,25 @@ class TestAnalyzeCommand:
         assert f"{runs} line 5" in err
         assert detail in err
 
+    def test_second_row_for_a_pair_is_data_error(self, tabular_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = _tab_args(tabular_csv, out)
+        args[args.index("4")] = "5"
+        args[args.index("logreg,gb")] = "logreg,svm"
+        assert cli_main(["run", *args]) == 0
+        runs = out / "runs.csv"
+        lines = runs.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("0,logreg,"))
+        last = next(i for i, line in enumerate(lines) if line.startswith("4,logreg,"))
+        lines[last] = lines[first]
+        runs.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        for command in (["analyze", "--runs-csv", str(runs), "--out", str(out)],
+                        ["run", *args, "--resume"]):
+            assert cli_main(command) == 2
+            err = capsys.readouterr().err
+            assert f"{runs} line {last + 1}" in err and "run 0 of model 'logreg'" in err
+
     def test_missing_runs_csv(self, tmp_path):
         code = cli_main([
             "analyze", "--runs-csv", str(tmp_path / "none.csv"),
@@ -282,7 +320,12 @@ class TestAllCommand:
          ("models", ["svm", ["rf"]], "unknown model kind ['rf']"),
          ("runs", 2.5, "'runs'"), ("runs", 0, "'runs'"), ("workers", 0, "'workers'"),
          ("model_params", {"svm": {"max_passes": 100}},
-          "model 'svm' has no parameter 'max_passes'")],
+          "model 'svm' has no parameter 'max_passes'"),
+         ("model_params", {"dnn": {"dropout": 1.0}}, "'dnn' parameter 'dropout'"),
+         ("model_params", {"svm": {"c": -1}}, "'svm' parameter 'c' must be a finite number > 0"),
+         ("model_params", {"gb": {"learning_rate": -0.1}}, "'learning_rate'"),
+         ("model_params", {"logreg": {"c": float("nan")}}, "'logreg' parameter 'c'"),
+         ("model_params", {"dnn": {"l2": -1}}, "'l2' must be a finite number >= 0")],
     )
     def test_bad_config_value_is_usage_error(self, tabular_csv, tmp_path, capsys,
                                              monkeypatch, key, value, named):

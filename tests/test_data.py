@@ -104,6 +104,14 @@ class TestTabularLoader:
                 tabular_csv, label_column="status", drop_columns=("ghost",)
             )
 
+    @pytest.mark.parametrize("header,twice", [("a,y,y", "y"), ("a,a,y", "a")])
+    def test_column_named_twice(self, tmp_path, header, twice):
+        path = tmp_path / "twice.csv"
+        path.write_text(f"{header}\n1.0,2.0,0\n1.5,2.5,1\n")
+        with pytest.raises(MissingColumn) as exc_info:
+            load_tabular_dataset(path, label_column="y")
+        assert f"{path}: column '{twice}' is named twice" in str(exc_info.value)
+
     def test_nonnumeric_cell_is_located(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,y\n1.0,2.0,0\n1.5,oops,1\n")

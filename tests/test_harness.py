@@ -368,16 +368,18 @@ class TestRunExperiment:
 
     def test_resume_refuses_rows_of_seed_protocol_2(self, tab_config, tab_dataset, tmp_path,
                                                     monkeypatch):
-        # protocol 3 changed every rf row; the fingerprint carries the protocol
-        with monkeypatch.context() as patched:
-            patched.setattr(harness, "SEED_PROTOCOL", 2)
-            older = tab_config.fingerprint(tab_dataset)
-        assert older != tab_config.fingerprint(tab_dataset)
+        # protocol 3 changed every rf row and protocol 5 every logreg fit; the
+        # fingerprint carries the protocol
         full = run_experiment(tab_config, dataset=tab_dataset)
         path = tmp_path / "runs.csv"
-        write_runs_csv(RunTable(records=full.records, config_fingerprint=older), path)
-        with pytest.raises(UsageError, match="different configuration"):
-            run_experiment(tab_config, dataset=tab_dataset, existing=read_runs_csv(path))
+        for protocol in (2, 4):
+            with monkeypatch.context() as patched:
+                patched.setattr(harness, "SEED_PROTOCOL", protocol)
+                older = tab_config.fingerprint(tab_dataset)
+            assert older != tab_config.fingerprint(tab_dataset)
+            write_runs_csv(RunTable(records=full.records, config_fingerprint=older), path)
+            with pytest.raises(UsageError, match="different configuration"):
+                run_experiment(tab_config, dataset=tab_dataset, existing=read_runs_csv(path))
 
     def test_resume_rejects_foreign_fingerprint(self, tab_config, tab_dataset):
         full = run_experiment(tab_config, dataset=tab_dataset)

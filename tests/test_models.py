@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs
+from lbfgs_reference import minimize_lbfgs
 from platt_smo import platt_smo
 from propcheck import deviance_path
 from voicebench.data import oversample
@@ -39,11 +40,7 @@ from voicebench.models.forest import (
     presort,
     train_random_forest,
 )
-from voicebench.models.logreg import (
-    logreg_objective,
-    minimize_lbfgs,
-    train_logreg,
-)
+from voicebench.models.logreg import logreg_objective, train_logreg
 from voicebench.models.svm import rbf_kernel, scale_gamma, train_svm_smo
 
 
@@ -91,7 +88,14 @@ class TestSpecs:
          ("dnn", {"epochs": 0}), ("dnn", {"batch_size": 8.5}), ("dnn", {"patience": 0}),
          ("dnn", {"hidden": [64, 0]}), ("dnn", {"hidden": [64.5]}),
          ("dnn", {"hidden": ["64"]}), ("dnn", {"epochs": True}),
-         ("dnn", {"epochs": float("nan")})],
+         ("dnn", {"epochs": float("nan")}),
+         ("dnn", {"dropout": 1.0}), ("svm", {"c": -1}), ("gb", {"learning_rate": -0.1}),
+         ("logreg", {"c": float("nan")}), ("logreg", {"c": 0}), ("logreg", {"tol": 0.0}),
+         ("logreg", {"c": float("inf")}), ("logreg", {"c": 10 ** 400}),
+         ("svm", {"kkt_tol": -1e-3}), ("svm", {"c": float("-inf")}),
+         ("gb", {"learning_rate": float("nan")}), ("dnn", {"dropout": -0.1}),
+         ("dnn", {"dropout": float("nan")}), ("dnn", {"l2": -1e-3}),
+         ("dnn", {"l2": float("inf")}), ("dnn", {"learning_rate": 0.0})],
     )
     def test_bad_value_rejected(self, kind, overrides):
         with pytest.raises(UsageError) as raised:
@@ -99,6 +103,13 @@ class TestSpecs:
         if isinstance(overrides, dict):
             assert f"{kind!r}" in str(raised.value)
             assert f"{next(iter(overrides))!r}" in str(raised.value)
+
+    def test_real_values_at_the_edge_of_their_range(self):
+        # l2 and dropout may be 0; every other real only has to be positive
+        assert make_spec("dnn", {"l2": 0, "dropout": 0.0}).params["l2"] == 0
+        assert make_spec("dnn", {"dropout": 0.999}).params["dropout"] == 0.999
+        assert make_spec("svm", {"c": 5e-324, "kkt_tol": 1e300}).params["c"] == 5e-324
+        assert make_spec("logreg", {"c": 2}).params["c"] == 2
 
     def test_whole_float_counts_become_ints(self):
         spec = make_spec("dnn", {"epochs": 20.0, "hidden": [16.0, 8]})
@@ -393,6 +404,44 @@ class TestSvmSolver:
         assert np.count_nonzero(model.alphas) == 2
         z = np.where(y == 1, 1.0, -1.0)
         assert abs(float(np.sum(model.alphas * z))) <= 1e-9
+
+
+class TestLogregSolver:
+    def test_objective_not_above_lbfgs(self):
+        # the svm solver tests' problems, each kind with c from 1e-3 to 1e3.
+        # L-BFGS stalls short of tol on a few of them at c >= 100, so its
+        # result only has to be reached, at the cap logreg used to have
+        problems = 0
+        for x, y in _svm_problems():
+            c = 10.0 ** (problems % 7 - 3)
+            model = train_logreg(x, y, c=c)
+            z = np.where(y == 1, 1.0, -1.0)
+
+            def objective(theta):
+                return logreg_objective(theta, x, z, c)
+
+            reference, _, _ = minimize_lbfgs(
+                objective, np.zeros(x.shape[1] + 1), tol=1e-6, max_iter=1000)
+            assert model.meta.converged
+            value = objective(np.append(model.weights, model.intercept))[0]
+            optimum = objective(reference)[0]
+            assert value <= optimum + 1e-9 * max(1.0, abs(optimum)), (x.shape, c)
+            problems += 1
+        assert problems == 52
+
+    @pytest.mark.parametrize("c", [1e-8, 1e12])
+    def test_extreme_penalty_converges_without_float_errors(self, c):
+        x, y = make_blobs(seed=35, n=60, d=3)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            model = train_logreg(x, y, c=c)
+        assert model.meta.converged
+        assert np.all(np.isfinite(model.weights)) and np.isfinite(model.intercept)
+
+    def test_iteration_cap(self):
+        x, y = make_blobs(seed=36, n=60, d=3, sep=0.5, std=1.0)
+        assert train_logreg(x, y).meta.epochs_run > 1
+        model = train_logreg(x, y, max_iter=1)
+        assert not model.meta.converged and model.meta.epochs_run == 1
 
 
 class _Preorder(NamedTuple):
