@@ -35,6 +35,7 @@ from . import metrics, stats
 from .data import LabeledDataset, load_audio_dataset, load_tabular_dataset, oversample, stratified_split
 from .errors import (
     AllTied,
+    SampleTooLarge,
     TooFewModels,
     TooFewRuns,
     UsageError,
@@ -65,8 +66,9 @@ STREAM_MODEL_BASE = 3
 # it, so --resume refuses rows of an older protocol. 4: svm trains by
 # LIBSVM's working-set selection and gap stop (models/svm.py), not by
 # Platt's pair heuristics. 5: logreg trains by Newton's method
-# (models/logreg.py), not by L-BFGS.
-SEED_PROTOCOL = 5
+# (models/logreg.py), not by L-BFGS. 6: logreg's stopping bound is
+# tol * min(1, c), not tol, which changes fits at c < 1.
+SEED_PROTOCOL = 6
 
 DEFAULT_OUTPUT_ENV = "VOICEBENCH_OUT"
 
@@ -433,10 +435,11 @@ def run_experiment(
 
     have = {}  # (run_index, kind) -> RunRecord
     if existing is not None:
-        if existing.config_fingerprint and existing.config_fingerprint != fingerprint:
+        # rows without a fingerprint cannot show which configuration made them
+        if existing.config_fingerprint != fingerprint:
             raise UsageError(
                 "existing results were produced by a different configuration "
-                f"({existing.config_fingerprint} != {fingerprint})"
+                f"({existing.config_fingerprint or 'no fingerprint'} != {fingerprint})"
             )
         have = {(r.run_index, r.model): r for r in existing.records}
 
@@ -628,7 +631,8 @@ def analyze(table: RunTable, alpha: float = 0.05) -> StatReport:
     Groups are per-model accuracy series over runs. Degenerate situations
     (zero-variance group, all values tied) are reported as structured
     entries instead of aborting, since they are legitimate outcomes of a
-    saturated benchmark.
+    saturated benchmark; so is a normality test skipped above 5000 runs,
+    the largest sample Shapiro-Wilk's approximation covers.
     """
     models = table.model_order()
     if len(models) < 2:
@@ -660,6 +664,8 @@ def analyze(table: RunTable, alpha: float = 0.05) -> StatReport:
             normality[model] = _test_result_dict(stats.shapiro_wilk(acc))
         except ZeroVariance:
             normality[model] = {"status": "degenerate-zero-variance"}
+        except SampleTooLarge:
+            normality[model] = {"status": "skipped-n-above-5000"}
 
     variance = _test_result_dict(stats.levene(groups))
 

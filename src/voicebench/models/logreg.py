@@ -8,7 +8,9 @@ With x~ = [x | 1] and p = sigmoid(x~ . (w, b)), the Hessian is
 R + c x~^T diag(p (1 - p)) x~, R the identity with a 0 for the intercept.
 For c > 0 it is positive definite, so f is strictly convex and each Newton
 step descends. The step is halved until the Armijo condition holds, or
-until it meets the stopping test: the gradient's sup-norm at most tol.
+until it meets the stopping test: the gradient's sup-norm at most
+tol * min(1, c). The data part of the gradient scales with c; a bound that
+did not shrink with it would stop a small c before the intercept moves.
 Hitting the iteration cap, or a line search that runs out, flags the model
 as non-converged instead of raising; the fit is still usable.
 """
@@ -65,6 +67,7 @@ def train_logreg(
     ridge = np.diag(np.append(np.ones(features.shape[1]), 0.0))
     theta = np.zeros(design.shape[1])
     value, grad = logreg_objective(theta, features, z, c)
+    tol = tol * min(1.0, c)
     n_iter = 0
     while n_iter < max_iter and np.max(np.abs(grad)) > tol:
         scores = design @ theta

@@ -1,11 +1,11 @@
 """Upper-tail probability functions used by the statistical tests.
 
-Implemented from the classic series/continued-fraction expansions of the
-regularized incomplete gamma and beta functions, with stdlib erfc/lgamma as
-the only primitives. Absolute error on returned tail probabilities stays
-well inside 1e-10 over the ranges these tests produce. An expansion that
-has not converged within _MAX_ITER terms raises DomainError rather than
-returning its partial value.
+stdlib erfc/lgamma are the only primitives. The chi-square tail of a whole
+df is a finite sum of positive terms. Only the regularized incomplete beta
+behind the F tail iterates: a continued fraction that has not converged
+within _MAX_ITER terms raises DomainError rather than returning its partial
+value. Absolute error on returned tail probabilities stays well inside
+1e-10 over the ranges these tests produce.
 """
 from __future__ import annotations
 
@@ -24,75 +24,30 @@ def normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / _SQRT2)
 
 
-def _no_convergence(expansion: str, *args: float) -> DomainError:
-    return DomainError(
-        f"{expansion} did not converge in {_MAX_ITER} iterations at {args}"
-    )
+def chi2_sf(x: float, df: int) -> float:
+    """P(X >= x) for chi-square with a whole number df >= 1 of degrees of freedom.
 
-
-def _gamma_p_series(a: float, x: float) -> float:
-    """Regularized lower gamma P(a, x) by power series; converges for x < a+1."""
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    else:
-        raise _no_convergence("incomplete gamma series", a, x)
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_q_cf(a: float, x: float) -> float:
-    """Regularized upper gamma Q(a, x) by continued fraction; for x >= a+1."""
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    else:
-        raise _no_convergence("incomplete gamma continued fraction", a, x)
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-
-
-def gammainc_upper(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x)/Gamma(a)."""
-    if a <= 0:
-        raise DomainError(f"shape parameter must be positive, got {a}")
-    if x < 0:
-        raise DomainError(f"argument must be non-negative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_cf(a, x)
-
-
-def chi2_sf(x: float, df: float) -> float:
-    """P(X >= x) for chi-square with df degrees of freedom."""
-    if df < 1:
-        raise DomainError(f"chi-square needs df >= 1, got {df}")
+    With h = x/2 the tail is sum(e^-h h^i / Gamma(i + 1)) over i = 0, 1, ...,
+    df/2 - 1 for even df, and erfc(sqrt(h)) plus that sum over i = 1/2, 3/2,
+    ..., df/2 - 1 for odd df (Abramowitz & Stegun 26.4.4-5). Each term is
+    taken in log space, so a large x underflows to 0 instead of overflowing.
+    """
+    if not (math.isfinite(df) and df >= 1 and df == int(df)):
+        raise DomainError(f"chi-square needs a whole number df >= 1, got {df}")
     if x < 0 or not math.isfinite(x):
         if x == math.inf:
             return 0.0
         raise DomainError(f"chi-square statistic must be >= 0, got {x}")
-    return gammainc_upper(df / 2.0, x / 2.0)
+    h = x / 2.0
+    if h == 0.0:
+        return 1.0
+    log_h = math.log(h)
+    offset = 0.5 * (df % 2)
+    total = math.erfc(math.sqrt(h)) if offset else 0.0
+    for j in range(int(df) // 2):
+        i = j + offset
+        total += math.exp(i * log_h - h - math.lgamma(i + 1.0))
+    return total
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -130,7 +85,8 @@ def _betacf(a: float, b: float, x: float) -> float:
         if abs(delta - 1.0) < _EPS:
             break
     else:
-        raise _no_convergence("incomplete beta continued fraction", a, b, x)
+        raise DomainError("incomplete beta continued fraction did not converge "
+                          f"in {_MAX_ITER} iterations at {(a, b, x)}")
     return h
 
 

@@ -140,6 +140,24 @@ class TestRun:
         assert code == 1
         assert "different configuration" in capsys.readouterr().err
 
+    def test_resume_refuses_rows_without_a_fingerprint(self, tabular_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = _tab_args(tabular_csv, out)
+        args[args.index("4")] = "3"
+        args[args.index("logreg,gb")] = "logreg,svm"
+        args[args.index("11")] = "1"
+        assert cli_main(["run", *args]) == 0
+        runs = out / "runs.csv"
+        lines = runs.read_text().splitlines(keepends=True)
+        runs.write_text("".join(line for line in lines
+                                if not line.startswith("# config_fingerprint=")))
+        stripped = runs.read_bytes()
+        args[args.index("1")] = "99"
+        capsys.readouterr()
+        assert cli_main(["run", *args, "--resume"]) == 1
+        assert "different configuration (no fingerprint != " in capsys.readouterr().err
+        assert runs.read_bytes() == stripped
+
     def test_resume_refuses_changed_rows_at_the_same_path(self, tabular_csv, tmp_path, capsys):
         table, out = tmp_path / "voice.csv", tmp_path / "out"
         table.write_bytes(tabular_csv.read_bytes())
@@ -246,6 +264,23 @@ class TestAnalyzeCommand:
             assert cli_main(command) == 2
             err = capsys.readouterr().err
             assert f"{runs} line {last + 1}" in err and "run 0 of model 'logreg'" in err
+
+    def test_normality_above_5000_runs_is_a_status(self, tmp_path, capsys):
+        # Shapiro-Wilk's approximation stops at 5000 values; the rest of the
+        # chain still runs
+        records = [harness.RunRecord(
+            run_index=run, model=model, seed=run, accuracy=acc, precision=acc,
+            recall=acc, f1=acc, early_stopped=None, split_hash=f"h{run}")
+            for run in range(5001)
+            for model, acc in (("logreg", 0.5 + (run % 7) / 20), ("svm", 0.6 + (run % 5) / 20))]
+        runs = tmp_path / "runs.csv"
+        harness.write_runs_csv(harness.RunTable(tuple(records), "fp"), runs)
+        assert cli_main(["analyze", "--runs-csv", str(runs), "--out", str(tmp_path)]) == 0
+        report = canonical_loads((tmp_path / "report.json").read_text())
+        assert report["normality"] == {"logreg": {"status": "skipped-n-above-5000"},
+                                       "svm": {"status": "skipped-n-above-5000"}}
+        assert report["variance_homogeneity"]["status"] == report["omnibus"]["status"] == "ok"
+        assert report["letters"] == {"logreg": "a", "svm": "b"}
 
     def test_missing_runs_csv(self, tmp_path):
         code = cli_main([
@@ -468,6 +503,19 @@ class TestImportCost:
             "assert cli_main(['all', *args]) == 0\n"
             "print('numpy.ma' in sys.modules)\n")
         assert _run_python(["-c", code], None).stdout.split()[-1] == "False"
+
+    def test_all_runs_without_scipy(self, tabular_csv, tmp_path):
+        # scipy is the test suite's reference only; a None entry in
+        # sys.modules makes any import of it fail
+        out = tmp_path / "out"
+        args = _tab_args(tabular_csv, out, "--models", "logreg,svm,rf,gb,dnn")
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from voicebench.cli import cli_main\n"
+            f"sys.exit(cli_main(['all', *{args!r}]))\n")
+        _run_python(["-c", code], None)
+        assert (out / "report.json").exists()
 
 
 class TestBlasThreads:

@@ -175,10 +175,10 @@ class TestExecuteTask:
 
     def test_model_params_reach_training(self, tab_dataset):
         (normal,) = execute_task(tab_dataset, {}, [0], 7, "logreg")
-        # a crushing penalty forces near-zero weights, so every test row
-        # lands on the same side; the scores must reflect that
+        # a tolerance above the starting gradient keeps the zero model, so
+        # every test row lands on the same side; the scores must reflect that
         (crushed,) = execute_task(
-            tab_dataset, {"logreg": {"c": 1e-8}}, [0], 7, "logreg"
+            tab_dataset, {"logreg": {"tol": 1e3}}, [0], 7, "logreg"
         )
         assert crushed.recall in (0.0, 1.0)
         assert crushed.accuracy != normal.accuracy
@@ -368,11 +368,11 @@ class TestRunExperiment:
 
     def test_resume_refuses_rows_of_seed_protocol_2(self, tab_config, tab_dataset, tmp_path,
                                                     monkeypatch):
-        # protocol 3 changed every rf row and protocol 5 every logreg fit; the
-        # fingerprint carries the protocol
+        # protocol 3 changed every rf row, protocol 5 every logreg fit and
+        # protocol 6 logreg fits at c < 1; the fingerprint carries the protocol
         full = run_experiment(tab_config, dataset=tab_dataset)
         path = tmp_path / "runs.csv"
-        for protocol in (2, 4):
+        for protocol in (2, 4, 5):
             with monkeypatch.context() as patched:
                 patched.setattr(harness, "SEED_PROTOCOL", protocol)
                 older = tab_config.fingerprint(tab_dataset)
@@ -557,6 +557,18 @@ class TestAnalyze:
         report = analyze(table)
         assert report.normality["flat"]["status"] == "degenerate-zero-variance"
         assert report.normality["varied"]["status"] == "ok"
+
+    def test_normality_above_5000_runs_reported_not_raised(self):
+        rng = np.random.default_rng(21)
+        table = _synthetic_table({
+            "strong": rng.uniform(0.7, 0.95, size=5001),
+            "weak": rng.uniform(0.5, 0.75, size=5001),
+        })
+        report = analyze(table)
+        assert report.normality == {"strong": {"status": "skipped-n-above-5000"},
+                                    "weak": {"status": "skipped-n-above-5000"}}
+        assert report.variance_homogeneity["status"] == report.omnibus["status"] == "ok"
+        assert report.letters == {"strong": "a", "weak": "b"}
 
     def test_all_tied_omnibus_reported_not_raised(self):
         table = _synthetic_table({

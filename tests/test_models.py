@@ -272,6 +272,17 @@ class TestLogreg:
         assert np.linalg.norm(tight.weights) < np.linalg.norm(loose.weights)
 
 
+    @pytest.mark.parametrize("c", [1e-12, 1e-8, 1e-6])
+    def test_small_c_still_moves_the_intercept(self, c):
+        # the data part of the gradient scales with c; at c -> 0 the weights
+        # vanish and the unpenalized intercept's optimum is log(45 / 15)
+        x = np.random.default_rng(22).normal(size=(60, 3))
+        y = np.repeat([0, 1], [15, 45])
+        model = train_logreg(x, y, c=c)
+        assert abs(model.intercept - math.log(3.0)) < 1e-3
+        assert model.meta.converged
+        assert model.meta.epochs_run >= 1
+
 class TestSvm:
     def test_two_point_closed_form(self):
         x = np.array([[-1.0], [1.0]])
