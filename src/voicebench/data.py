@@ -129,16 +129,16 @@ def load_tabular_dataset(
 ) -> LabeledDataset:
     """Read a numeric CSV; all columns except the label and drops become features.
 
-    Lines starting with '#' are ignored so versioned files read back cleanly.
+    Lines starting with '#' and blank lines are ignored, so versioned files
+    read back cleanly, and a leading UTF-8 byte-order mark is dropped.
     """
     csv_path = Path(csv_path)
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDataset(f"{csv_path}: empty file") from None
-        rows = list(reader)
+    with open(csv_path, newline="", encoding="utf-8-sig") as fh:
+        rows = [row for row in csv.reader(line for line in fh if not line.startswith("#"))
+                if row]
+    if not rows:
+        raise EmptyDataset(f"{csv_path}: empty file")
+    header, rows = rows[0], rows[1:]
 
     if len(set(header)) < len(header):  # the label or a drop would match twice
         twice = next(name for i, name in enumerate(header) if name in header[:i])
@@ -191,7 +191,11 @@ class ScalerState:
 
 def fit_scaler(features: np.ndarray) -> ScalerState:
     features = np.asarray(features, dtype=np.float64)
-    return ScalerState(features.mean(axis=0), features.std(axis=0))
+    # std squares deviations, which overflow past ~1e154; each column is
+    # taken over a power of two near its largest magnitude, which is exact
+    scale = np.ldexp(1.0, np.frexp(np.abs(features).max(axis=0))[1])
+    features = features / scale
+    return ScalerState(features.mean(axis=0) * scale, features.std(axis=0) * scale)
 
 
 def apply_scaler(state: ScalerState, features: np.ndarray) -> np.ndarray:

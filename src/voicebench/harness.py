@@ -67,8 +67,10 @@ STREAM_MODEL_BASE = 3
 # LIBSVM's working-set selection and gap stop (models/svm.py), not by
 # Platt's pair heuristics. 5: logreg trains by Newton's method
 # (models/logreg.py), not by L-BFGS. 6: logreg's stopping bound is
-# tol * min(1, c), not tol, which changes fits at c < 1.
-SEED_PROTOCOL = 6
+# tol * min(1, c), not tol, which changes fits at c < 1. 7: dnn takes
+# Adam's step in Kingma & Ba's folded order (models/dnn.py), which rounds
+# the fitted weights differently.
+SEED_PROTOCOL = 7
 
 DEFAULT_OUTPUT_ENV = "VOICEBENCH_OUT"
 

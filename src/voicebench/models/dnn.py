@@ -1,16 +1,21 @@
 """Fully-connected net (input -> 64 -> 32 -> 1) trained with Adam.
 
 Forward pass: ReLU hidden layers with inverted dropout (training only),
-sigmoid output, mean binary cross-entropy. Weight decay is decoupled from
-the gradient moments (applied directly to weights, never biases) so the
-penalty strength does not get rescaled by Adam's denominator. Early
-stopping watches validation loss with a fixed patience and the returned
-model always carries the best-epoch weights.
+sigmoid output, mean binary cross-entropy. Early stopping watches
+validation loss with a fixed patience and the returned model always
+carries the best-epoch weights.
 
-Parameters, gradients and both Adam moments are (runs, n_parameters)
-arrays, each row laid out [all weights | all biases] with per-layer (w, b)
-views into it. The forward and backward passes take an optional leading run
-axis, so one net and a stack of nets share them.
+Adam steps in Kingma & Ba's efficient order (2015, after Algorithm 1),
+theta -= alpha_t * m / (sqrt(v) + eps_hat) with alpha_t = lr * sqrt(1 -
+beta2^t) / (1 - beta1^t) and eps_hat = eps * sqrt(1 - beta2^t). Decoupled
+weight decay first scales the weights, never the biases, by 1 - lr * l2,
+so Adam's denominator does not rescale the penalty.
+
+Parameters, gradients and both Adam moments are the four rows of a
+(4, runs, n_parameters) array, each run laid out [all weights | all
+biases] with per-layer (w, b) views into it. The forward and backward
+passes take an optional leading run axis, so one net and a stack of nets
+share them.
 
 A block of runs with equal shapes trains in one call, in stacks of at most
 _LEVEL_ENTRIES // n_parameters runs: each batch is one forward/backward
@@ -25,6 +30,7 @@ batch, hidden layer after hidden layer (the draws of a per-batch loop).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,9 +176,9 @@ def _train_stack(x, y, val_x, val_y, seeds, dims, dropout, learning_rate, l2, ep
     runs, n, _ = x.shape
     hidden = dims[1:-1]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    # parameters, gradients, Adam's two moments and a scratch row per run;
-    # the live runs are the first rows
-    state = np.zeros((5, runs, n_parameters(dims)))
+    # parameters, gradients and Adam's two moments per run; the live runs
+    # are the first rows
+    state = np.zeros((4, runs, n_parameters(dims)))
     for row, rng in zip(state[0], rngs):
         row[:] = init_params(rng, dims)
     best = state[0].copy()
@@ -195,12 +201,9 @@ def _train_stack(x, y, val_x, val_y, seeds, dims, dropout, learning_rate, l2, ep
     for epoch in range(epochs):
         if stack != len(live):  # the first epoch, or runs left the stack
             stack = len(live)
-            flat, grad, adam_m, adam_v, scratch = state[:, :stack]
+            flat, grad, adam_m, adam_v = state[:, :stack]
             params, grads = layer_views(flat, dims), layer_views(grad, dims)
-            # weight and bias columns; Adam's m_hat and denominator reuse the
-            # spent gradient and the scratch rows
-            (w, b), (m_hat_w, m_hat_b), (denom_w, denom_b) = (
-                (a[:, :n_weights], a[:, n_weights:]) for a in (flat, grad, scratch))
+            w = flat[:, :n_weights]  # the weight columns, which decay
             rows, epoch_masks = np.arange(stack)[:, None], masks_of_epoch[:stack]
         for row, run in enumerate(live):
             order[row] = rngs[run].permutation(n)
@@ -217,27 +220,17 @@ def _train_stack(x, y, val_x, val_y, seeds, dims, dropout, learning_rate, l2, ep
 
             step += 1
             adam_m *= _ADAM_BETA1
-            np.multiply(grad, 1.0 - _ADAM_BETA1, out=scratch)
-            adam_m += scratch
+            adam_m += (1.0 - _ADAM_BETA1) * grad
             adam_v *= _ADAM_BETA2
-            np.multiply(grad, 1.0 - _ADAM_BETA2, out=scratch)
-            scratch *= grad
-            adam_v += scratch
-            np.divide(adam_m, 1.0 - _ADAM_BETA1 ** step, out=grad)  # m_hat
-            np.divide(adam_v, 1.0 - _ADAM_BETA2 ** step, out=scratch)
-            np.sqrt(scratch, out=scratch)
-            scratch += _ADAM_EPS  # the denominator
-            # decoupled decay: penalty hits weights directly, biases never;
-            # learning_rate multiplies before the bias division (bit order):
-            # w -= lr * (m_hat / denom + l2 * w), b -= lr * m_hat / denom
-            np.divide(m_hat_w, denom_w, out=denom_w)
-            np.multiply(w, l2, out=m_hat_w)
-            denom_w += m_hat_w
-            denom_w *= learning_rate
-            w -= denom_w
-            m_hat_b *= learning_rate
-            m_hat_b /= denom_b
-            b -= m_hat_b
+            adam_v += (1.0 - _ADAM_BETA2) * grad * grad
+            # the folded step (module docstring) in the spent gradient
+            root = math.sqrt(1.0 - _ADAM_BETA2 ** step)
+            np.sqrt(adam_v, out=grad)
+            grad += _ADAM_EPS * root
+            np.divide(adam_m, grad, out=grad)
+            grad *= learning_rate * root / (1.0 - _ADAM_BETA1 ** step)
+            w *= 1.0 - learning_rate * l2
+            flat -= grad
 
         staying = []
         for row, (run, val_loss) in enumerate(zip(live, _validation_loss(

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import voicebench
@@ -398,6 +399,27 @@ class TestAllCommand:
             assert cli_main(["run", "--config", str(config_path), "--quiet"]) == 0
             texts.append((tmp_path / name / "runs.csv").read_bytes())
         assert texts[0] == texts[1]
+
+    def test_huge_column_keeps_its_signal(self, tmp_path):
+        # column a carries the label at scale s; squaring its deviations for
+        # the std overflowed at 1e155, which zeroed the column at exit 0
+        rng = np.random.default_rng(30)
+        labels = np.repeat([0, 1], [20, 40])
+        noise = rng.normal(size=(60, 3))
+        accuracies = []
+        for scale in (1.0, 1e155):
+            table, out = tmp_path / f"{scale:g}.csv", tmp_path / f"out{scale:g}"
+            rows = np.column_stack([(labels + 0.3 * noise[:, 0]) * scale, noise[:, 1:], labels])
+            table.write_text("a,b,c,y\n" + "".join(
+                f"{a!r},{b!r},{c!r},{y:.0f}\n" for a, b, c, y in rows.tolist()))
+            assert cli_main(["all", "--tabular-csv", str(table), "--label-column", "y",
+                             "--runs", "5", "--seed", "1", "--models", "logreg,rf,gb",
+                             "--workers", "1", "--quiet", "--out", str(out)]) == 0
+            records = read_runs_csv(out / "runs.csv").records
+            accuracies.append({model: np.mean([r.accuracy for r in records if r.model == model])
+                               for model in ("logreg", "rf", "gb")})
+        assert accuracies[0]["logreg"] > 0.9
+        assert accuracies[1] == accuracies[0]
 
 
 class TestExtract:

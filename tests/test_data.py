@@ -149,6 +149,18 @@ class TestTabularLoader:
         assert ds.features.shape == (4, 1)
 
 
+    @pytest.mark.parametrize("prefix,suffix", [("\ufeff", ""), ("", "\n\r\n\n")],
+                             ids=["bom", "trailing_blank_lines"])
+    def test_reads_like_the_plain_file(self, tabular_csv, tmp_path, prefix, suffix):
+        # a byte-order mark gave "no column named 'name'"; trailing blank
+        # lines gave "row 62: expected 24 fields"
+        path = tmp_path / "edited.csv"
+        path.write_bytes((prefix + tabular_csv.read_text() + suffix).encode("utf-8"))
+        plain, edited = (load_tabular_dataset(p, label_column="status", drop_columns=("name",))
+                         for p in (tabular_csv, path))
+        assert edited.features.tobytes() == plain.features.tobytes()
+        assert edited.labels.tobytes() == plain.labels.tobytes()
+
 class TestScaler:
     def test_known_values(self):
         features = np.array([[0.0, 5.0], [4.0, 5.0]])
@@ -164,6 +176,15 @@ class TestScaler:
         column = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
         state = fit_scaler(column)
         assert abs(state.stds[0] - np.sqrt(2.0)) < 1e-15
+
+    def test_huge_column_scales_without_overflow(self):
+        # squaring deviations past ~1e154 overflowed to std inf, which zeroed
+        # the column; scaling by a power of two is exact, so bytes match
+        column = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
+        for scale in (2.0 ** 520, 2.0 ** -20):
+            state = fit_scaler(column * scale)
+            assert state.means[0] == 3.0 * scale
+            assert state.stds[0] == fit_scaler(column).stds[0] * scale
 
     def test_rejects_wrong_width(self):
         state = ScalerState(np.zeros(3), np.ones(3))

@@ -368,11 +368,12 @@ class TestRunExperiment:
 
     def test_resume_refuses_rows_of_seed_protocol_2(self, tab_config, tab_dataset, tmp_path,
                                                     monkeypatch):
-        # protocol 3 changed every rf row, protocol 5 every logreg fit and
-        # protocol 6 logreg fits at c < 1; the fingerprint carries the protocol
+        # protocol 3 changed every rf row, protocol 5 every logreg fit,
+        # protocol 6 logreg fits at c < 1 and protocol 7 the dnn's weights;
+        # the fingerprint carries the protocol
         full = run_experiment(tab_config, dataset=tab_dataset)
         path = tmp_path / "runs.csv"
-        for protocol in (2, 4, 5):
+        for protocol in (2, 4, 5, 6):
             with monkeypatch.context() as patched:
                 patched.setattr(harness, "SEED_PROTOCOL", protocol)
                 older = tab_config.fingerprint(tab_dataset)
