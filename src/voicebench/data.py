@@ -3,6 +3,7 @@
 Two loaders produce the same LabeledDataset shape: one walks a directory
 tree of WAV recordings with a group -> label map, the other reads a numeric
 CSV with a binary label column. Downstream of that, everything is arrays.
+read_csv_rows is the one CSV reader, shared with the reader of runs.csv.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .errors import (
 
 TEST_FRACTION = 0.2          # stage one: hold out test
 VALIDATION_FRACTION = 0.25   # stage two: validation share of the remainder
-STD_FLOOR = 1e-12
+STD_FLOOR = 1e-12           # of a column's magnitude; constant columns scale to 0
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,17 @@ def _parse_binary_label(raw: str, where: str) -> int:
     raise InvalidLabel(f"{where}: label must be 0 or 1, got {raw!r}")
 
 
+def read_csv_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """'#' comment lines and other non-blank rows, each with the file line it
+    ends on (a quoted cell may span lines); a UTF-8 BOM goes, CRLF reads as LF."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        lines = fh.readlines()
+    # a comment reads as a blank line, so the reader counts the file's lines
+    reader = csv.reader(["\n" if line.startswith("#") else line for line in lines])
+    return ([line.rstrip("\r\n") for line in lines if line.startswith("#")],
+            [(reader.line_num, row) for row in reader if row])
+
+
 def load_tabular_dataset(
     csv_path,
     label_column: str,
@@ -129,16 +141,14 @@ def load_tabular_dataset(
 ) -> LabeledDataset:
     """Read a numeric CSV; all columns except the label and drops become features.
 
-    Lines starting with '#' and blank lines are ignored, so versioned files
-    read back cleanly, and a leading UTF-8 byte-order mark is dropped.
+    Comment and blank lines are skipped (see read_csv_rows), so versioned
+    files read back cleanly, and "row N" in a message is line N of the file.
     """
     csv_path = Path(csv_path)
-    with open(csv_path, newline="", encoding="utf-8-sig") as fh:
-        rows = [row for row in csv.reader(line for line in fh if not line.startswith("#"))
-                if row]
+    _, rows = read_csv_rows(csv_path)
     if not rows:
         raise EmptyDataset(f"{csv_path}: empty file")
-    header, rows = rows[0], rows[1:]
+    (_, header), rows = rows[0], rows[1:]
 
     if len(set(header)) < len(header):  # the label or a drop would match twice
         twice = next(name for i, name in enumerate(header) if name in header[:i])
@@ -156,10 +166,11 @@ def load_tabular_dataset(
 
     features = np.empty((len(rows), len(feature_idx)), dtype=np.float64)
     labels = np.empty(len(rows), dtype=np.int64)
-    for r, row in enumerate(rows):
+    for r, (lineno, row) in enumerate(rows):
+        where = f"{csv_path} row {lineno}"
         if len(row) != len(header):
-            raise NonNumericValue(f"{csv_path} row {r + 2}: expected {len(header)} fields")
-        labels[r] = _parse_binary_label(row[label_idx], f"{csv_path} row {r + 2}")
+            raise NonNumericValue(f"{where}: expected {len(header)} fields")
+        labels[r] = _parse_binary_label(row[label_idx], where)
         for c, i in enumerate(feature_idx):
             try:
                 value = float(row[i])
@@ -167,9 +178,7 @@ def load_tabular_dataset(
                 value = math.nan
             # float() also parses nan/inf, which would tie every model at 0.5
             if not math.isfinite(value):
-                raise NonNumericValue(
-                    f"{csv_path} row {r + 2}, column {header[i]!r}: {row[i]!r}"
-                )
+                raise NonNumericValue(f"{where}, column {header[i]!r}: {row[i]!r}")
             features[r, c] = value
 
     if len(rows) == 0:
@@ -193,7 +202,7 @@ def fit_scaler(features: np.ndarray) -> ScalerState:
     features = np.asarray(features, dtype=np.float64)
     # std squares deviations, which overflow past ~1e154; each column is
     # taken over a power of two near its largest magnitude, which is exact
-    scale = np.ldexp(1.0, np.frexp(np.abs(features).max(axis=0))[1])
+    scale = np.ldexp(0.5, np.frexp(np.abs(features).max(axis=0))[1])
     features = features / scale
     return ScalerState(features.mean(axis=0) * scale, features.std(axis=0) * scale)
 
@@ -205,8 +214,9 @@ def apply_scaler(state: ScalerState, features: np.ndarray) -> np.ndarray:
             f"expected {state.means.shape[0]} feature columns, "
             f"got shape {features.shape}"
         )
-    # constant columns normalize to zero instead of dividing by ~0
-    return (features - state.means) / np.maximum(state.stds, STD_FLOOR)
+    # divide by a power of two near the column's magnitude (exact) before the floor
+    scale = np.ldexp(0.5, np.frexp(np.maximum(np.abs(state.means), state.stds))[1])
+    return (features / scale - state.means / scale) / np.maximum(state.stds / scale, STD_FLOOR)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ Seed derivation, fixed forever:
 from __future__ import annotations
 
 import contextlib
-import csv
 import ctypes
 import dataclasses
 import hashlib
@@ -32,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, stats
-from .data import LabeledDataset, load_audio_dataset, load_tabular_dataset, oversample, stratified_split
+from .data import (LabeledDataset, load_audio_dataset, load_tabular_dataset, oversample,
+                   read_csv_rows, stratified_split)
 from .errors import (
     AllTied,
     SampleTooLarge,
@@ -542,26 +542,16 @@ def write_runs_csv(table: RunTable, path) -> None:
 
 
 def read_runs_csv(path) -> RunTable:
-    fingerprint = ""
-    linenos, rows = [], []
-    with open(path, newline="") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                if line.startswith("# config_fingerprint="):
-                    fingerprint = line.split("=", 1)[1]
-                continue
-            linenos.append(lineno)
-            rows.append(line)
+    comments, rows = read_csv_rows(path)
+    fingerprint = next((line.split("=", 1)[1] for line in reversed(comments)
+                        if line.startswith("# config_fingerprint=")), "")
     if not rows:
         raise VoicebenchError(f"{path}: no header row")
-    header = rows[0].split(",")
+    (_, header), rows = rows[0], rows[1:]
     if tuple(header) != RUNS_CSV_COLUMNS:
         raise VoicebenchError(f"{path}: unexpected columns {header}")
     records, pairs = [], set()
-    for lineno, row in zip(linenos[1:], csv.reader(rows[1:])):
-        if not row:
-            continue
+    for lineno, row in rows:
         if len(row) != len(RUNS_CSV_COLUMNS):
             raise VoicebenchError(f"{path} line {lineno}: expected "
                                   f"{len(RUNS_CSV_COLUMNS)} fields, got {len(row)}")

@@ -4,6 +4,7 @@ omnibus rank test, post-hoc pairwise test, compact letter display.
 Shapiro-Wilk follows Royston's 1995 approximation (AS R94): coefficients
 from Blom scores with polynomial endpoint corrections, then a normalizing
 transform of 1 - W whose parameters depend on the sample size regime.
+Kruskal-Wallis and Dunn share one pooled ranking, _pooled_ranks.
 """
 from __future__ import annotations
 
@@ -176,28 +177,27 @@ def _tie_sum(tie_sizes: np.ndarray) -> float:
     return float(np.sum(t ** 3 - t))
 
 
+def _pooled_ranks(groups) -> tuple[list[int], list[float], int, float]:
+    """Group sizes, each group's pooled midrank sum, pooled count, tie term."""
+    gs = _as_groups(groups)
+    ranks, tie_sizes = midranks(np.concatenate(gs))
+    sizes = [g.size for g in gs]
+    rank_sums = [float(part.sum()) for part in np.split(ranks, np.cumsum(sizes)[:-1])]
+    return sizes, rank_sums, ranks.size, _tie_sum(tie_sizes)
+
+
 def kruskal_wallis(groups) -> TestResult:
     """Kruskal-Wallis H with tie correction; p from chi-square (k-1 df)."""
-    gs = _as_groups(groups)
-    k = len(gs)
-    sizes = np.array([g.size for g in gs])
-    pooled = np.concatenate(gs)
-    n = pooled.size
-    ranks, tie_sizes = midranks(pooled)
-
+    sizes, rank_sums, n, ties = _pooled_ranks(groups)
     h = 0.0
-    offset = 0
-    for size in sizes:
-        r_sum = float(ranks[offset:offset + size].sum())
+    for size, r_sum in zip(sizes, rank_sums):
         h += r_sum * r_sum / size
-        offset += size
     h = 12.0 / (n * (n + 1.0)) * h - 3.0 * (n + 1.0)
-
-    correction = 1.0 - _tie_sum(tie_sizes) / (n ** 3 - n)
+    correction = 1.0 - ties / (n ** 3 - n)
     if correction <= 0.0:
         raise AllTied("every pooled value is identical; ranks carry no signal")
     h /= correction
-    return TestResult(h, chi2_sf(h, k - 1), k - 1)
+    return TestResult(h, chi2_sf(h, len(sizes) - 1), len(sizes) - 1)
 
 
 def dunn_bonferroni(groups) -> PairwiseMatrix:
@@ -208,20 +208,11 @@ def dunn_bonferroni(groups) -> PairwiseMatrix:
     all tied the variance collapses; every pair is then reported as z=0,
     p=1 rather than raised, since "no difference" is the honest answer.
     """
-    gs = _as_groups(groups)
-    k = len(gs)
-    sizes = np.array([g.size for g in gs], dtype=np.float64)
-    pooled = np.concatenate(gs)
-    n = pooled.size
-    ranks, tie_sizes = midranks(pooled)
+    sizes, rank_sums, n, ties = _pooled_ranks(groups)
+    k = len(sizes)
+    mean_ranks = [r_sum / size for size, r_sum in zip(sizes, rank_sums)]
 
-    mean_ranks = []
-    offset = 0
-    for size in (int(s) for s in sizes):
-        mean_ranks.append(float(ranks[offset:offset + size].mean()))
-        offset += size
-
-    var_base = n * (n + 1.0) / 12.0 - _tie_sum(tie_sizes) / (12.0 * (n - 1.0))
+    var_base = n * (n + 1.0) / 12.0 - ties / (12.0 * (n - 1.0))
     m_pairs = k * (k - 1) // 2
     z = np.zeros((k, k))
     raw = np.ones((k, k))

@@ -421,6 +421,30 @@ class TestAllCommand:
         assert accuracies[0]["logreg"] > 0.9
         assert accuracies[1] == accuracies[0]
 
+    def test_power_of_two_scales_keep_every_row(self, tmp_path):
+        # scaling a table by 2^k is exact, so every model must see the same
+        # standardized features; the absolute std floor of 1e-12 lost the
+        # signal at 2^-70 (logreg 0.6667 at --runs 5 against 0.9333)
+        rng = np.random.default_rng(0)
+        labels = np.repeat([0, 1], [20, 40])
+        noise = rng.normal(size=(60, 3))
+        plain = np.column_stack([labels + 0.3 * noise[:, 0], noise[:, 1:]])
+        rows = {}
+        for k in (-900, -70, 0, 70, 900):
+            features = plain * 2.0 ** k
+            assert np.all(np.abs(features) >= np.finfo(np.float64).tiny)
+            table, out = tmp_path / f"k{k}.csv", tmp_path / f"out{k}"
+            table.write_text("a,b,c,y\n" + "".join(
+                f"{a!r},{b!r},{c!r},{y}\n" for (a, b, c), y in zip(features.tolist(), labels)))
+            assert cli_main(["all", "--tabular-csv", str(table), "--label-column", "y",
+                             "--runs", "5", "--seed", "1", "--workers", "1", "--quiet",
+                             "--out", str(out)]) == 0
+            rows[k] = [line for line in (out / "runs.csv").read_text().splitlines()
+                       if not line.startswith("#")]
+        assert len(rows[0]) == 1 + 5 * 5
+        for k in rows:
+            assert rows[k] == rows[0], k
+
 
 class TestExtract:
     def test_features_csv_then_retrain_from_it(self, audio_corpus, tmp_path, capsys):

@@ -10,6 +10,7 @@ from voicebench.data import (
     load_audio_dataset,
     load_tabular_dataset,
     oversample,
+    read_csv_rows,
     stratified_split,
 )
 from voicebench.errors import (
@@ -161,6 +162,33 @@ class TestTabularLoader:
         assert edited.features.tobytes() == plain.features.tobytes()
         assert edited.labels.tobytes() == plain.labels.tobytes()
 
+class TestFileLines:
+    def test_rows_carry_their_file_lines(self, tmp_path):
+        path = tmp_path / "edited.csv"
+        path.write_bytes("\ufeff# format_version=1\r\na,y\r\n\r\n1,0\r\n# note\r\n2,1\r\n"
+                         .encode("utf-8"))
+        assert read_csv_rows(path) == (["# format_version=1", "# note"],
+                                       [(2, ["a", "y"]), (4, ["1", "0"]), (6, ["2", "1"])])
+
+    @pytest.mark.parametrize("blank,line", [("", 5), ("\n", 6)],
+                             ids=["after_a_comment", "and_a_blank_line"])
+    def test_loader_names_the_file_line(self, tmp_path, blank, line):
+        # rows were counted past the comment and blank lines: this said "row 4"
+        path = tmp_path / "versioned.csv"
+        path.write_text(f"# format_version=1\na,y\n1,0\n2,1\n{blank}3,oops\n")
+        with pytest.raises(InvalidLabel) as exc_info:
+            load_tabular_dataset(path, label_column="y")
+        assert f"{path} row {line}: label 'oops' is not numeric" in str(exc_info.value)
+
+    def test_row_after_a_field_spanning_lines(self, tmp_path):
+        # the quoted cell "2\n" spans lines 2-3; the bad row is line 4
+        path = tmp_path / "quoted.csv"
+        path.write_text('a,b,y\n1,"2\n",0\n3,oops,1\n')
+        with pytest.raises(NonNumericValue) as exc_info:
+            load_tabular_dataset(path, label_column="y")
+        assert f"{path} row 4, column 'b': 'oops'" in str(exc_info.value)
+
+
 class TestScaler:
     def test_known_values(self):
         features = np.array([[0.0, 5.0], [4.0, 5.0]])
@@ -190,6 +218,41 @@ class TestScaler:
         state = ScalerState(np.zeros(3), np.ones(3))
         with pytest.raises(DimensionMismatch):
             apply_scaler(state, np.zeros((2, 4)))
+
+
+class TestRelativeStdFloor:
+    def _features(self):
+        rng = np.random.default_rng(3)
+        features = rng.normal(size=(40, 4)) + [0.0, 5.0, -2.0, 1.0]
+        features[:, 2] = 7.0  # constant
+        features[:, 3] = 1.0 + 2.0 ** -52 * (np.arange(40) % 2)  # constant up to rounding
+        return features
+
+    def test_power_of_two_scales_keep_the_scaled_bytes(self):
+        # the floor was an absolute 1e-12, so a column scaled by 2^-70 lost
+        # its spread and one scaled by 2^70 kept its rounding noise
+        features = self._features()
+        plain = apply_scaler(fit_scaler(features), features)
+        assert np.all(plain[:, 2] == 0.0) and np.max(np.abs(plain[:, 3])) < 1e-3
+        for k in (-1000, -900, -70, 70, 900, 1000):
+            scaled = features * 2.0 ** k
+            assert apply_scaler(fit_scaler(scaled), scaled).tobytes() == plain.tobytes(), k
+
+    def test_tiny_columns_keep_their_signal(self):
+        column = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
+        plain = apply_scaler(fit_scaler(column), column)
+        for scale in (1e-20, 3e-300):
+            tiny = column * scale
+            assert np.allclose(apply_scaler(fit_scaler(tiny), tiny), plain, rtol=1e-12)
+        # subnormal values carry few bits, but their order and spread survive
+        subnormal = column * 5e-321
+        assert np.allclose(apply_scaler(fit_scaler(subnormal), subnormal), plain, atol=0.01)
+
+    def test_constant_subnormal_and_largest_columns(self):
+        features = np.array([[5e-320, 1.7e308], [5e-320, -1.7e308], [5e-320, 1.7e308]])
+        out = apply_scaler(fit_scaler(features), features)
+        assert np.all(out[:, 0] == 0.0)
+        assert np.allclose(out[:, 1], [2 ** -0.5, -2 ** 0.5, 2 ** -0.5])
 
 
 class TestStratifiedSplit:

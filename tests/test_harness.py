@@ -431,6 +431,30 @@ class TestCsvFormats:
         with pytest.raises(VoicebenchError):
             read_runs_csv(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda text: "\ufeff" + text,
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("\nrun_index,", "\n\nrun_index,", 1),
+    ], ids=["bom", "crlf", "blank_line_after_comments"])
+    def test_read_edited_file_like_the_plain_one(self, tmp_path, edit):
+        # each of these read back as "unexpected columns"
+        table = _synthetic_table({"rf": [0.5, 0.6, 0.7], "gb": [0.4, 0.5, 0.6]})
+        plain, edited = tmp_path / "plain.csv", tmp_path / "edited.csv"
+        write_runs_csv(table, plain)
+        edited.write_bytes(edit(plain.read_text()).encode("utf-8"))
+        assert read_runs_csv(edited) == read_runs_csv(plain) == table
+
+    def test_messages_name_file_lines(self, tmp_path):
+        # the quoted cell spans lines 4-5 and line 6 is blank, so the bad row
+        # is line 7; pairing rows with lines one to one said line 6
+        lines = runs_csv_text(_synthetic_table({"rf": [0.5], "gb": [0.4]})).splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ',"h\n0"'
+        lines[4] = "\n" + lines[4].replace("0.4", "high", 1)
+        path = tmp_path / "runs.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(VoicebenchError, match="line 7: could not convert"):
+            read_runs_csv(path)
+
     def test_early_stopped_tristate_roundtrip(self, tmp_path):
         records = tuple(
             RunRecord(run_index=i, model="dnn", seed=i, accuracy=0.5,

@@ -9,7 +9,12 @@ src). The script writes the benchmark inputs of seeds 1 and 7 with
 bench/inputs.py into a temporary directory. In it, each in a fresh process
 with PYTHONPATH=SRC_DIR, it runs `voicebench all --dump-splits` on the table
 and on the WAV corpus at --runs 5 and 40 and --workers 1, 2 and 3, and
-`voicebench extract` on each corpus. It prints one `sha256  name` line per
+`voicebench extract` on each corpus. It also runs `all` at --runs 5 and
+--workers 1 on three copies of each table that sit on the scaler's edges:
+every feature times 2^-70 (`table-times-2^-70`) or 2^70
+(`table-times-2^70`), both exact, so their `[model]` lines must equal the
+plain table's, and the first feature held constant (`table-constant-f00`).
+It prints one `sha256  name` line per
 file, sorted by name, for runs.csv, report.json, boxplot_accuracy.csv,
 splits.csv and the features CSV; timings.csv holds wall times and is left
 out. For each runs.csv it also prints one `sha256  name [model]` line per
@@ -35,6 +40,11 @@ SEEDS = (1, 7)
 RUNS = (5, 40)
 WORKERS = (1, 2, 3)
 OUTPUTS = ("runs.csv", "report.json", "boxplot_accuracy.csv", "splits.csv")
+EDGES = {  # copy name -> how the cell of feature i is rewritten
+    "table-times-2^-70": lambda i, cell: repr(float(cell) * 2.0 ** -70),
+    "table-times-2^70": lambda i, cell: repr(float(cell) * 2.0 ** 70),
+    "table-constant-f00": lambda i, cell: "1.5" if i == 0 else cell,
+}
 
 
 def _voicebench(args: list, src: Path, cwd: Path) -> None:
@@ -67,14 +77,19 @@ def digests(src: Path) -> list[str]:
                 "corpus": ["--audio-dir", str(corpus),
                            "--manifest", str(corpus / "manifest.json")],
             }
-            for name, dataset in datasets.items():
-                for runs in RUNS:
-                    for workers in WORKERS:
-                        out = Path(f"seed{seed}", f"{name}-runs{runs}-workers{workers}")
-                        _voicebench(["all", *dataset, "--runs", str(runs), "--seed", str(seed),
-                                     "--workers", str(workers), "--out", str(out),
-                                     "--dump-splits", "--quiet"], src, work)
-                        written += [out / output for output in OUTPUTS]
+            plans = [(name, runs, workers) for name in datasets
+                     for runs in RUNS for workers in WORKERS]
+            for name, edit in EDGES.items():
+                _write_edge_copy(work / table, work / table.with_name(f"{name}.csv"), edit)
+                datasets[name] = [str(table.with_name(f"{name}.csv")) if arg == str(table)
+                                  else arg for arg in datasets["table"]]
+                plans.append((name, 5, 1))
+            for name, runs, workers in plans:
+                out = Path(f"seed{seed}", f"{name}-runs{runs}-workers{workers}")
+                _voicebench(["all", *datasets[name], "--runs", str(runs), "--seed", str(seed),
+                             "--workers", str(workers), "--out", str(out),
+                             "--dump-splits", "--quiet"], src, work)
+                written += [out / output for output in OUTPUTS]
             for path in written:
                 data = (work / path).read_bytes()
                 lines.append(f"{hashlib.sha256(data).hexdigest()}  {path}")
@@ -86,6 +101,15 @@ def digests(src: Path) -> list[str]:
                                         if not line.lstrip().startswith(b'"config_fingerprint"'))
                     lines.append(f"{hashlib.sha256(analysis).hexdigest()}  {path} [analysis]")
     return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+
+
+def _write_edge_copy(table: Path, path: Path, edit) -> None:
+    """The table with each feature cell (all but the first and last column)
+    rewritten by edit(feature index, cell)."""
+    header, *rows = table.read_text().splitlines()
+    path.write_text("\n".join([header] + [
+        ",".join([name, *(edit(i, cell) for i, cell in enumerate(cells)), label])
+        for name, *cells, label in (row.split(",") for row in rows)]) + "\n")
 
 
 def _by_model(runs_csv: bytes) -> dict:
