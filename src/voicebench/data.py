@@ -30,7 +30,7 @@ from .errors import (
 
 TEST_FRACTION = 0.2          # stage one: hold out test
 VALIDATION_FRACTION = 0.25   # stage two: validation share of the remainder
-STD_FLOOR = 1e-12           # of a column's magnitude; constant columns scale to 0
+STD_FLOOR = 2.0 ** -46      # 64 ulps of a column's magnitude; constant columns scale to 0
 
 
 @dataclass(frozen=True)

@@ -233,7 +233,8 @@ class TestRelativeStdFloor:
         # its spread and one scaled by 2^70 kept its rounding noise
         features = self._features()
         plain = apply_scaler(fit_scaler(features), features)
-        assert np.all(plain[:, 2] == 0.0) and np.max(np.abs(plain[:, 3])) < 1e-3
+        assert np.all(plain[:, 2] == 0.0)
+        assert np.max(np.abs(plain[:, 3])) == 2.0 ** -6  # one ulp over the 64-ulp floor
         for k in (-1000, -900, -70, 70, 900, 1000):
             scaled = features * 2.0 ** k
             assert apply_scaler(fit_scaler(scaled), scaled).tobytes() == plain.tobytes(), k
@@ -247,6 +248,15 @@ class TestRelativeStdFloor:
         # subnormal values carry few bits, but their order and spread survive
         subnormal = column * 5e-321
         assert np.allclose(apply_scaler(fit_scaler(subnormal), subnormal), plain, atol=0.01)
+
+    def test_large_offset_keeps_a_small_spread(self):
+        # a spread of about 860 ulps on top of 1e6: a floor of 1e-12 of the
+        # magnitude shrank it to std 0.18, the absolute 1e-12 kept it
+        signal = np.random.default_rng(4).normal(size=(200, 1))
+        column = 1e6 + 1e-7 * signal
+        out = apply_scaler(fit_scaler(column), column)
+        assert abs(out.std() - 1.0) < 1e-6
+        assert np.corrcoef(out[:, 0], signal[:, 0])[0, 1] > 0.999
 
     def test_constant_subnormal_and_largest_columns(self):
         features = np.array([[5e-320, 1.7e308], [5e-320, -1.7e308], [5e-320, 1.7e308]])

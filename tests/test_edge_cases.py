@@ -34,6 +34,13 @@ def _column_at(scale):
     return lambda rng: _signal(rng, scale)
 
 
+def _large_offset(rng):
+    # a spread of some hundred ulps on top of a large magnitude
+    features = _signal(rng)
+    features[:, 0] = 1e6 + 1e-7 * features[:, 0]
+    return features
+
+
 def _constant_beside_signal(rng):
     return np.column_stack([_signal(rng)[:, 0], np.full(LABELS.size, 0.1)])
 
@@ -58,6 +65,7 @@ CASES = {
     "subnormal_table": (_table_at(5e-320), None, True),
     "near_largest_float": (_table_at(1.7e308 / 4), None, True),
     "wide_range_column": (_wide_range, None, True),
+    "large_offset_small_spread": (_large_offset, None, True),
     "constant_beside_signal": (_constant_beside_signal, None, True),
     "constant_subnormal_beside_signal":
         (lambda rng: np.column_stack([_signal(rng)[:, 0], np.full(LABELS.size, 5e-320)]),
