@@ -177,11 +177,11 @@ def _cmd_run(args, with_analysis: bool) -> int:
 
 def _print_report_summary(report) -> None:
     print("model accuracy (mean +/- std) letters")
-    for model in report.models:
-        acc = report.descriptives[model]["accuracy"]
+    for model in report["models"]:
+        acc = report["descriptives"][model]["accuracy"]
         print(f"  {model:7s} {acc['mean']:.4f} +/- {acc['std']:.4f}  "
-              f"{report.letters[model]}")
-    omnibus = report.omnibus
+              f"{report['letters'][model]}")
+    omnibus = report["omnibus"]
     if omnibus.get("status") == "ok":
         print(f"omnibus rank test: H={omnibus['statistic']:.4f} "
               f"p={omnibus['p_value']:.3g}")

@@ -275,14 +275,15 @@ def stratified_split(dataset: LabeledDataset, seed: int) -> SplitTriple:
     val_idx = np.sort(np.concatenate(val_parts))
     test_idx = np.sort(np.concatenate(test_parts))
 
-    scaler = fit_scaler(dataset.features[train_idx])
+    # every row lies in one partition, and scaling is per element
+    scaled = apply_scaler(fit_scaler(dataset.features[train_idx]), dataset.features)
     return SplitTriple(
-        train_features=apply_scaler(scaler, dataset.features[train_idx]),
-        train_labels=dataset.labels[train_idx].copy(),
-        validation_features=apply_scaler(scaler, dataset.features[val_idx]),
-        validation_labels=dataset.labels[val_idx].copy(),
-        test_features=apply_scaler(scaler, dataset.features[test_idx]),
-        test_labels=dataset.labels[test_idx].copy(),
+        train_features=scaled[train_idx],
+        train_labels=dataset.labels[train_idx],
+        validation_features=scaled[val_idx],
+        validation_labels=dataset.labels[val_idx],
+        test_features=scaled[test_idx],
+        test_labels=dataset.labels[test_idx],
         train_idx=train_idx,
         validation_idx=val_idx,
         test_idx=test_idx,

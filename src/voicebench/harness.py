@@ -18,10 +18,13 @@ Seed derivation, fixed forever:
 from __future__ import annotations
 
 import contextlib
+import csv
 import ctypes
 import dataclasses
 import hashlib
+import io
 import itertools
+import math
 import numbers
 import os
 import sys
@@ -496,13 +499,18 @@ def _write_text(path, text: str):
 
 
 def _csv_text(header, rows, fingerprint: str | None = None) -> str:
-    """A versioned CSV: comment lines, the header, one line per row of cells."""
-    lines = [f"# format_version={FORMAT_VERSION}"]
+    """A versioned CSV: comment lines, the header, one line per row of cells,
+    each cell quoted where it needs to be. A row whose first cell starts with
+    '#' is quoted whole, so it does not read back as a comment."""
+    out = io.StringIO()
+    plain = csv.writer(out, lineterminator="\n")
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    plain.writerow([f"# format_version={FORMAT_VERSION}"])
     if fingerprint is not None:
-        lines.append(f"# config_fingerprint={fingerprint}")
-    lines.append(",".join(header))
-    lines.extend(",".join(map(str, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+        plain.writerow([f"# config_fingerprint={fingerprint}"])
+    for row in itertools.chain([header], rows):
+        (quoted if str(row[0]).startswith("#") else plain).writerow(row)
+    return out.getvalue()
 
 
 _FLAG_CELLS = {"": None, "true": True, "false": False}
@@ -589,23 +597,6 @@ def boxplot_csv_text(table: RunTable) -> str:
 _METRIC_NAMES = ("accuracy", "precision", "recall", "f1")
 
 
-@dataclass(frozen=True)
-class StatReport:
-    alpha: float
-    n_runs: int
-    models: tuple
-    descriptives: dict
-    normality: dict
-    variance_homogeneity: dict
-    omnibus: dict
-    pairwise: dict
-    letters: dict
-    config_fingerprint: str
-
-    def to_dict(self) -> dict:
-        return {"format_version": FORMAT_VERSION, **dataclasses.asdict(self)}
-
-
 def _test_result_dict(result: stats.TestResult) -> dict:
     out = {
         "status": "ok",
@@ -617,14 +608,16 @@ def _test_result_dict(result: stats.TestResult) -> dict:
     return out
 
 
-def analyze(table: RunTable, alpha: float = 0.05) -> StatReport:
-    """Descriptives plus the normality/variance/omnibus/post-hoc chain.
+def analyze(table: RunTable, alpha: float = 0.05) -> dict:
+    """The dict report.json holds: descriptives plus the
+    normality/variance/omnibus/post-hoc chain.
 
     Groups are per-model accuracy series over runs. Degenerate situations
-    (zero-variance group, all values tied) are reported as structured
-    entries instead of aborting, since they are legitimate outcomes of a
-    saturated benchmark; so is a normality test skipped above 5000 runs,
-    the largest sample Shapiro-Wilk's approximation covers.
+    (a zero-variance group, spreads constant within every group, all values
+    tied) are reported as status entries instead of aborting, since they
+    are legitimate outcomes of a saturated benchmark; so is a normality
+    test skipped above 5000 runs, the largest sample Shapiro-Wilk's
+    approximation covers.
     """
     models = table.model_order()
     if len(models) < 2:
@@ -659,48 +652,49 @@ def analyze(table: RunTable, alpha: float = 0.05) -> StatReport:
         except SampleTooLarge:
             normality[model] = {"status": "skipped-n-above-5000"}
 
-    variance = _test_result_dict(stats.levene(groups))
+    levene = stats.levene(groups)
+    # an infinite F: each group's spread is constant, and they differ
+    variance = (_test_result_dict(levene) if math.isfinite(levene.statistic)
+                else {"status": "degenerate-no-within-spread"})
 
     try:
         omnibus = _test_result_dict(stats.kruskal_wallis(groups))
     except AllTied:
         omnibus = {"status": "degenerate-all-tied"}
 
-    pairwise_matrix = stats.dunn_bonferroni(groups)
-    letters_list = stats.compact_letters(pairwise_matrix.adjusted_p, alpha)
+    pairwise = stats.dunn_bonferroni(groups)
+    letters = stats.compact_letters(pairwise.adjusted_p, alpha)
 
-    pairwise = {
-        "models": list(models),
-        "z": pairwise_matrix.z.tolist(),
-        "raw_p": pairwise_matrix.raw_p.tolist(),
-        "adjusted_p": pairwise_matrix.adjusted_p.tolist(),
+    return {
+        "format_version": FORMAT_VERSION,
+        "alpha": alpha,
+        "n_runs": n_runs,
+        "models": models,
+        "descriptives": descriptives,
+        "normality": normality,
+        "variance_homogeneity": variance,
+        "omnibus": omnibus,
+        "pairwise": {
+            "models": list(models),
+            "z": pairwise.z.tolist(),
+            "raw_p": pairwise.raw_p.tolist(),
+            "adjusted_p": pairwise.adjusted_p.tolist(),
+        },
+        "letters": dict(zip(models, letters)),
+        "config_fingerprint": table.config_fingerprint,
     }
-    letters = {model: letters_list[i] for i, model in enumerate(models)}
-
-    return StatReport(
-        alpha=alpha,
-        n_runs=n_runs,
-        models=tuple(models),
-        descriptives=descriptives,
-        normality=normality,
-        variance_homogeneity=variance,
-        omnibus=omnibus,
-        pairwise=pairwise,
-        letters=letters,
-        config_fingerprint=table.config_fingerprint,
-    )
 
 
-def emit_report(table: RunTable, report: StatReport, out_dir) -> dict:
+def emit_report(table: RunTable, report: dict, out_dir) -> dict:
     """Write report.json and boxplot_accuracy.csv. Returns {name: path}."""
     out_dir = Path(out_dir)
-    _write_text(out_dir / "report.json", canonical_dumps(report.to_dict()))
+    _write_text(out_dir / "report.json", canonical_dumps(report))
     _write_text(out_dir / "boxplot_accuracy.csv", boxplot_csv_text(table))
     return {"report": str(out_dir / "report.json"),
             "boxplot": str(out_dir / "boxplot_accuracy.csv")}
 
 
-def emit_outputs(table: RunTable, report: StatReport | None, out_dir) -> dict:
+def emit_outputs(table: RunTable, report: dict | None, out_dir) -> dict:
     """Write runs.csv, timings.csv, and (when a report is given) the
     emit_report files. Returns {name: path}."""
     out_dir = Path(out_dir)

@@ -1,63 +1,39 @@
 """Canonical JSON serialization for reports and fingerprints.
 
-Keys are sorted, floats render with %.10g, and the writer refuses
-non-finite numbers, so serialize(parse(serialize(x))) is byte-identical
-to serialize(x). That property is what makes reports diffable and config
-fingerprints stable.
+json.dumps writes a copy of the value with sorted keys and a two-space
+indent. In the copy every float is rounded to 10 significant digits (what
+%.10g prints) and a whole one below 1e10 becomes an int, numpy values
+become Python ones, and a non-finite float raises ValueError. So
+serialize(parse(serialize(x))) is byte-identical to serialize(x), which
+is what makes reports diffable and config fingerprints stable.
 """
 from __future__ import annotations
 
 import json
 import math
 
-import numpy as np
-
-_INDENT = "  "
-
 
 def format_float(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite float {value!r}")
-    text = "%.10g" % value
-    # "%g" may emit bare integers; keep them valid JSON numbers as-is
-    return text
+    return "%.10g" % value
 
 
-def _render(value, depth: int) -> str:
-    pad = _INDENT * depth
-    inner = _INDENT * (depth + 1)
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(float(value))
-    if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = ",\n".join(inner + _render(v, depth + 1) for v in value)
-        return "[\n" + items + "\n" + pad + "]"
+def _rounded(value):
+    if isinstance(value, float):
+        value = float(format_float(value))
+        return int(value) if value.is_integer() and abs(value) < 1e10 else value
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = []
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"object keys must be strings, got {key!r}")
-            parts.append(f"{inner}{json.dumps(key, ensure_ascii=False)}: "
-                         f"{_render(value[key], depth + 1)}")
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return list(map(_rounded, value))
+    return value
 
 
 def canonical_dumps(value) -> str:
-    return _render(value, 0) + "\n"
+    # numpy scalars and arrays reach `default`, which makes them Python values
+    return json.dumps(_rounded(value), indent=2, sort_keys=True, ensure_ascii=False,
+                      default=lambda item: _rounded(item.tolist())) + "\n"
 
 
 def canonical_loads(text: str):

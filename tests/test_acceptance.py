@@ -294,13 +294,13 @@ def test_criterion_6_italian_corpus_replication():
         "gb": 0.9760, "rf": 0.9645,
     }
     deltas = {
-        kind: abs(report.descriptives[kind]["accuracy"]["mean"] - target)
+        kind: abs(report["descriptives"][kind]["accuracy"]["mean"] - target)
         for kind, target in expected_means.items()
     }
     means_ok = all(d <= 0.03 for d in deltas.values())
-    omnibus_ok = (report.omnibus.get("status") == "ok"
-                  and report.omnibus["p_value"] < 0.001)
-    letters = report.letters
+    omnibus_ok = (report["omnibus"].get("status") == "ok"
+                  and report["omnibus"]["p_value"] < 0.001)
+    letters = report["letters"]
     partition_ok = (
         letters["dnn"] == letters["svm"]
         and letters["logreg"] == letters["gb"]
@@ -312,7 +312,7 @@ def test_criterion_6_italian_corpus_replication():
     detail = ", ".join(f"{k} d={v:.4f}" for k, v in deltas.items())
     _report(6, ok, desc, f"{detail}; letters {letters}")
     assert means_ok, deltas
-    assert omnibus_ok, report.omnibus
+    assert omnibus_ok, report["omnibus"]
     assert partition_ok, letters
 
 
@@ -369,12 +369,12 @@ def test_criterion_8_uci_table_pattern():
     report = analyze(table, alpha=0.05)
 
     means = {
-        kind: report.descriptives[kind]["accuracy"]["mean"]
-        for kind in report.models
+        kind: report["descriptives"][kind]["accuracy"]["mean"]
+        for kind in report["models"]
     }
     ranking = sorted(means, key=means.get, reverse=True)
-    letters = report.letters
-    all_pairs_differ = len({letters[k] for k in report.models}) == len(report.models)
+    letters = report["letters"]
+    all_pairs_differ = len({letters[k] for k in report["models"]}) == len(report["models"])
     dnn_on_top = ranking[0] == "dnn"
 
     detail = (f"ranking {ranking}; letters {letters}; "

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import synth_voice, write_pcm16_wav
 import voicebench
 from voicebench import cli, harness
 from voicebench.cli import cli_main
@@ -283,6 +285,21 @@ class TestAnalyzeCommand:
         assert report["variance_homogeneity"]["status"] == report["omnibus"]["status"] == "ok"
         assert report["letters"] == {"logreg": "a", "svm": "b"}
 
+    def test_constant_spreads_are_a_status(self, tmp_path, capsys):
+        # every model's spread about its median is constant and they differ,
+        # so Levene's F is infinite: a status, not a traceback
+        series = {"logreg": [1.0] * 6, "svm": [1.0, 0.75] * 3, "rf": [1.0, 0.5] * 3}
+        records = [harness.RunRecord(
+            run_index=run, model=model, seed=run, accuracy=acc[run], precision=acc[run],
+            recall=acc[run], f1=acc[run], early_stopped=None, split_hash=f"h{run}")
+            for run in range(6) for model, acc in series.items()]
+        runs = tmp_path / "runs.csv"
+        harness.write_runs_csv(harness.RunTable(tuple(records), "fp"), runs)
+        assert cli_main(["analyze", "--runs-csv", str(runs), "--out", str(tmp_path)]) == 0
+        report = canonical_loads((tmp_path / "report.json").read_text())
+        assert report["variance_homogeneity"] == {"status": "degenerate-no-within-spread"}
+        assert report["omnibus"]["status"] == "ok"
+
     def test_missing_runs_csv(self, tmp_path):
         code = cli_main([
             "analyze", "--runs-csv", str(tmp_path / "none.csv"),
@@ -472,6 +489,32 @@ class TestExtract:
         table = read_runs_csv(out / "runs.csv")
         assert len(table.records) == 6
         assert all(r.accuracy >= 0.0 for r in table.records)
+
+    def test_any_file_name_reads_back(self, tmp_path, capsys):
+        # a comma or a quote in a file name, and a group whose rows start
+        # with '#' next to a plain group of the same label
+        rng = np.random.default_rng(31)
+        root = tmp_path / "corpus"
+        groups = {"#site1": 0, "site2": 0, "pd": 1}
+        names = ["clip,0.wav", 'say "a".wav', "plain.wav", "b,\"c\".wav"]
+        for group, label in groups.items():
+            (root / group).mkdir(parents=True)
+            for name in names:
+                write_pcm16_wav(root / group / name, synth_voice(rng, label, 16000, 0.5), 16000)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"format_version": 1, "groups": groups}))
+        features_csv = tmp_path / "features.csv"
+        assert cli_main(["extract", "--audio-dir", str(root), "--manifest", str(manifest),
+                         "--out", str(features_csv)]) == 0
+        with open(features_csv, newline="") as fh:
+            rows = list(csv.reader(line for line in fh if not line.startswith("#")))[1:]
+        assert sorted(row[0] for row in rows) == sorted(
+            f"{group}/{name}" for group in groups for name in names)
+        capsys.readouterr()
+        assert cli_main(["all", "--tabular-csv", str(features_csv), "--label-column", "label",
+                         "--drop-columns", "path", "--runs", "3", "--models", "logreg,rf",
+                         "--quiet", "--out", str(tmp_path / "out")]) == 0
+        assert f"on {len(groups) * len(names)} rows" in capsys.readouterr().out
 
     def test_extract_missing_manifest(self, audio_corpus, tmp_path):
         root, _ = audio_corpus

@@ -548,7 +548,7 @@ class TestAnalyze:
                           key=lambda r: r.run_index)
             for name in ("accuracy", "precision", "recall", "f1"):
                 series = np.array([getattr(r, name) for r in rows])
-                entry = report.descriptives[model][name]
+                entry = report["descriptives"][model][name]
                 assert abs(entry["mean"] - series.mean()) < 1e-12
                 assert abs(entry["std"] - series.std(ddof=1)) < 1e-12
 
@@ -559,9 +559,9 @@ class TestAnalyze:
             "weak": rng.uniform(0.5, 0.55, size=15),
         })
         report = analyze(table)
-        assert report.letters["strong"] != report.letters["weak"]
-        assert report.omnibus["p_value"] < 0.01
-        assert report.normality["strong"]["status"] == "ok"
+        assert report["letters"]["strong"] != report["letters"]["weak"]
+        assert report["omnibus"]["p_value"] < 0.01
+        assert report["normality"]["strong"]["status"] == "ok"
 
     def test_indistinguishable_models_share_letter(self):
         rng = np.random.default_rng(19)
@@ -571,7 +571,7 @@ class TestAnalyze:
             "b": base + rng.normal(0, 1e-3, size=20),
         })
         report = analyze(table)
-        assert report.letters["a"] == report.letters["b"] == "a"
+        assert report["letters"]["a"] == report["letters"]["b"] == "a"
 
     def test_zero_variance_group_reported_not_raised(self):
         rng = np.random.default_rng(20)
@@ -580,8 +580,8 @@ class TestAnalyze:
             "varied": rng.uniform(0.5, 0.9, size=10),
         })
         report = analyze(table)
-        assert report.normality["flat"]["status"] == "degenerate-zero-variance"
-        assert report.normality["varied"]["status"] == "ok"
+        assert report["normality"]["flat"]["status"] == "degenerate-zero-variance"
+        assert report["normality"]["varied"]["status"] == "ok"
 
     def test_normality_above_5000_runs_reported_not_raised(self):
         rng = np.random.default_rng(21)
@@ -590,10 +590,10 @@ class TestAnalyze:
             "weak": rng.uniform(0.5, 0.75, size=5001),
         })
         report = analyze(table)
-        assert report.normality == {"strong": {"status": "skipped-n-above-5000"},
-                                    "weak": {"status": "skipped-n-above-5000"}}
-        assert report.variance_homogeneity["status"] == report.omnibus["status"] == "ok"
-        assert report.letters == {"strong": "a", "weak": "b"}
+        assert report["normality"] == {"strong": {"status": "skipped-n-above-5000"},
+                                       "weak": {"status": "skipped-n-above-5000"}}
+        assert report["variance_homogeneity"]["status"] == report["omnibus"]["status"] == "ok"
+        assert report["letters"] == {"strong": "a", "weak": "b"}
 
     def test_all_tied_omnibus_reported_not_raised(self):
         table = _synthetic_table({
@@ -601,8 +601,8 @@ class TestAnalyze:
             "b": np.full(5, 0.8),
         })
         report = analyze(table)
-        assert report.omnibus["status"] == "degenerate-all-tied"
-        assert report.letters["a"] == report.letters["b"]
+        assert report["omnibus"]["status"] == "degenerate-all-tied"
+        assert report["letters"]["a"] == report["letters"]["b"]
 
     def test_report_json_roundtrip_byte_identical(self):
         rng = np.random.default_rng(21)
@@ -611,7 +611,7 @@ class TestAnalyze:
             "gb": rng.uniform(0.5, 0.8, size=8),
             "svm": rng.uniform(0.7, 0.95, size=8),
         })
-        text = canonical_dumps(analyze(table).to_dict())
+        text = canonical_dumps(analyze(table))
         assert canonical_dumps(canonical_loads(text)) == text
         parsed = canonical_loads(text)
         assert parsed["format_version"] == 1
